@@ -137,8 +137,8 @@ def _cmd_distance(args: argparse.Namespace) -> int:
     f1 = _load_function(args.first, Space.PRIMAL)
     f2 = _load_function(args.second, Space.PRIMAL)
     climb = climb_distance(f1, f2)
-    g1 = _load_function(args.first, Space.DUAL)
-    g2 = _load_function(args.second, Space.DUAL)
+    # the same samples read as functions of slope
+    g1, g2 = (SampledFunction(f.grid, f.values_array, Space.DUAL) for f in (f1, f2))
     fall = fall_distance(g1, g2)
     _emit(f"climb {ext.render(climb)}\nfall {ext.render(fall)}\n", args.out)
     return 0

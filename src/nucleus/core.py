@@ -1,27 +1,30 @@
-"""Quantale contract, finite profunctors and the push/pull adjunction.
+"""Quantales as array operations, finite profunctors and the push/pull adjunction.
 
-A quantale instance bundles the order, lattice folds, tensor and
-residuation of one carrier.  Two are provided: classical truth values
-(tensor = conjunction, residuation = implication) and the extended
-reals with the order read as >=, so join is infimum, meet is supremum,
-the tensor is saturating addition and residuation is the subtraction
-table from :mod:`nucleus.extreal`.
+A quantale bundles the order, lattice folds, tensor and residuation of
+one carrier as operations on an array encoding: truth values as bool
+(tensor = conjunction, residuation = implication), or the extended reals
+as float64 with IEEE infinities for the infinite tags, ordered by >= (join
+is infimum, meet is supremum, the tensor is saturating addition and
+residuation is the subtraction table from :mod:`nucleus.extreal`).
 
-A profunctor is a finite matrix of quantale values between two object
-sets.  It induces the adjoint operator pair ``push``/``pull`` between
-presheaf vectors (PRE side) and opcopresheaf vectors (OPCO side); their
-composites are closure operators, and the pairs fixed by both are what
-the rest of the package instantiates as concept lattices and as the
-conjugation calculus on sampled functions.  Limits and colimits of
-fixed pairs are computed pointwise, with a closure applied on the side
-where the pointwise formula can leave the fixed set.
+A profunctor, a finite matrix of quantale values between two object
+sets, induces the adjoint pair ``push``/``pull`` between PRE and OPCO
+vectors: one kernel, :func:`adjoint_arrays`, which :mod:`nucleus.legendre`
+also runs on the pairing k*x.  Their composites are closure operators;
+limits and colimits of fixed pairs are computed pointwise and re-closed
+on the side the pointwise formula can leave.  Profunctors and vectors
+hold one encoded array each; the scalar views ``entries`` and ``values``
+are built only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Callable, Sequence
+
+import numpy as np
 
 from . import extreal as ext
 from .extreal import ExtReal
@@ -33,13 +36,12 @@ __all__ = [
     "NotFixedError",
     "FormatError",
     "Quantale",
-    "TruthQuantale",
-    "ExtRealQuantale",
     "TRUTH",
     "EXT_REAL",
     "Profunctor",
     "PresheafVector",
     "identity_profunctor",
+    "adjoint_arrays",
     "push",
     "pull",
     "closure",
@@ -95,169 +97,152 @@ class FormatError(ValueError):
         super().__init__(f"{prefix}: {message}" if prefix else message)
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class Quantale:
-    """Operation bundle for one complete commutative quantale."""
+    """One complete commutative quantale as operations on its array encoding.
 
-    name: str = "abstract"
-    unit: object = None
-    default_fixed_tol: float = 0.0
+    ``join`` and ``meet`` are numpy ufuncs (``meet.reduce`` folds an axis);
+    ``tensor``, ``residuate`` (``residuate(b, c)`` is the largest a with
+    a (x) b <= c) and ``approx_equal`` act on whole arrays.  ``leq``,
+    ``unit``, ``bottom`` and ``top`` are scalars.
+    """
 
-    def leq(self, a, b) -> bool:
-        raise NotImplementedError
+    name: str
+    scalar_type: type
+    dtype: type
+    encode_cell: Callable
+    decode: Callable[[np.ndarray], tuple]
+    leq: Callable[[object, object], bool]
+    join: np.ufunc
+    meet: np.ufunc
+    tensor: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    residuate: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    approx_equal: Callable[[np.ndarray, np.ndarray, float], bool]
+    unit: object
+    bottom: object
+    top: object
+    default_fixed_tol: float
 
-    def join(self, xs: Iterable):
-        raise NotImplementedError
-
-    def meet(self, xs: Iterable):
-        raise NotImplementedError
-
-    def tensor(self, a, b):
-        raise NotImplementedError
-
-    def residuate(self, b, c):
-        """Right adjoint to the tensor: the largest a with a (x) b <= c."""
-        raise NotImplementedError
-
-    def approx_equal(self, a, b, tol: float) -> bool:
-        raise NotImplementedError
-
-    def check_value(self, x) -> None:
-        raise NotImplementedError
-
-    @property
-    def bottom(self):
-        return self.join(())
-
-    @property
-    def top(self):
-        return self.meet(())
+    def encode(self, cells, ndim: int = 1) -> np.ndarray:
+        """A fresh read-only array from an array of this encoding or from a
+        sequence of scalars (rows of scalars for ``ndim`` 2).  A cell of
+        another type is a TypeError; ragged rows are a ValueError."""
+        if isinstance(cells, np.ndarray):
+            if cells.dtype != self.dtype or cells.ndim != ndim:
+                raise TypeError(f"{self.name} quantale needs a {ndim}-d {np.dtype(self.dtype)} array")
+            arr = cells.copy()
+        else:
+            rows = [tuple(row) for row in cells] if ndim == 2 else [tuple(cells)]
+            width = len(rows[0]) if rows else 0
+            if any(len(row) != width for row in rows):
+                raise ValueError("matrix rows must all have the same length")
+            flat = [c for row in rows for c in row]
+            for kind in set(map(type, flat)):
+                if not issubclass(kind, self.scalar_type):
+                    raise TypeError(f"{self.name} quantale needs {self.scalar_type.__name__} values, got {kind.__name__}")
+            arr = np.fromiter(map(self.encode_cell, flat), self.dtype, len(flat))
+            arr = arr.reshape(len(rows), width) if ndim == 2 else arr
+        if arr.dtype.kind == "f":
+            if np.isnan(arr).any():
+                raise ValueError("NaN has no extended-real meaning")
+            arr += 0.0  # canonicalize negative zeros
+        arr.setflags(write=False)
+        return arr
 
     def __repr__(self) -> str:
         return f"<quantale {self.name}>"
 
 
-class TruthQuantale(Quantale):
-    """Truth values under entailment; the only strict relation is false |- true."""
+TRUTH = Quantale(
+    name="truth", scalar_type=bool, dtype=np.bool_, default_fixed_tol=0.0,
+    unit=True, bottom=False, top=True, leq=lambda a, b: (not a) or b,
+    join=np.logical_or, meet=np.logical_and, tensor=np.logical_and, residuate=lambda b, c: ~b | c,
+    encode_cell=bool, decode=lambda a: tuple(a.tolist()),
+    approx_equal=lambda x, y, tol: np.array_equal(x, y),
+)
 
-    name = "truth"
-    unit = True
-    default_fixed_tol = 0.0
-
-    def leq(self, a: bool, b: bool) -> bool:
-        return (not a) or b
-
-    def join(self, xs: Iterable[bool]) -> bool:
-        return any(xs)
-
-    def meet(self, xs: Iterable[bool]) -> bool:
-        return all(xs)
-
-    def tensor(self, a: bool, b: bool) -> bool:
-        return a and b
-
-    def residuate(self, b: bool, c: bool) -> bool:
-        return (not b) or c
-
-    def approx_equal(self, a: bool, b: bool, tol: float) -> bool:
-        return a == b
-
-    def check_value(self, x) -> None:
-        if not isinstance(x, bool):
-            raise TypeError(f"truth quantale needs bool values, got {type(x).__name__}")
+# The extreal array helpers are looked up at call time, so that wrappers
+# installed on the module see every call.
+EXT_REAL = Quantale(
+    name="extreal", scalar_type=ExtReal, dtype=np.float64, default_fixed_tol=1e-9,
+    unit=ext.ZERO, bottom=ext.POS_INF, top=ext.NEG_INF, leq=lambda a, b: a >= b,
+    join=np.minimum, meet=np.maximum,
+    tensor=lambda x, y: ext.add_arrays(x, y), residuate=lambda b, c: ext.sub_arrays(c, b),
+    encode_cell=ExtReal.to_float, decode=lambda a: ext.from_array(a),
+    approx_equal=lambda x, y, tol: ext.approx_equal_arrays(x, y, tol),
+)
 
 
-class ExtRealQuantale(Quantale):
-    """Extended reals ordered by >=: join is infimum, meet is supremum."""
-
-    name = "extreal"
-    unit = ext.ZERO
-    default_fixed_tol = 1e-9
-
-    def leq(self, a: ExtReal, b: ExtReal) -> bool:
-        return ext.compare(a, b) >= 0
-
-    def join(self, xs: Iterable[ExtReal]) -> ExtReal:
-        return ext.fold_inf(xs)
-
-    def meet(self, xs: Iterable[ExtReal]) -> ExtReal:
-        return ext.fold_sup(xs)
-
-    def tensor(self, a: ExtReal, b: ExtReal) -> ExtReal:
-        return ext.add(a, b)
-
-    def residuate(self, b: ExtReal, c: ExtReal) -> ExtReal:
-        return ext.sub(c, b)
-
-    def approx_equal(self, a: ExtReal, b: ExtReal, tol: float) -> bool:
-        return ext.approx_equal(a, b, tol)
-
-    def check_value(self, x) -> None:
-        if not isinstance(x, ExtReal):
-            raise TypeError(f"extreal quantale needs ExtReal values, got {type(x).__name__}")
-
-
-TRUTH = TruthQuantale()
-EXT_REAL = ExtRealQuantale()
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Profunctor:
-    """Total matrix of quantale values between two finite object sets."""
+    """Total matrix of quantale values between two finite object sets, held
+    as one encoded array (given as such or as rows of scalars)."""
 
-    entries: tuple[tuple[object, ...], ...]
+    entries_array: np.ndarray
     quantale: Quantale
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(tuple(row) for row in self.entries))
-        if not self.entries or not self.entries[0]:
+        arr = self.quantale.encode(self.entries_array, ndim=2)
+        if not arr.size:
             raise ValueError("profunctor needs at least one row and one column")
-        width = len(self.entries[0])
-        for row in self.entries:
-            if len(row) != width:
-                raise ValueError("profunctor rows must all have the same length")
-            for cell in row:
-                self.quantale.check_value(cell)
+        object.__setattr__(self, "entries_array", arr)
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[object]], quantale: Quantale) -> "Profunctor":
-        return cls(tuple(tuple(row) for row in rows), quantale)
+    @cached_property
+    def entries(self) -> tuple[tuple[object, ...], ...]:
+        return tuple(map(self.quantale.decode, self.entries_array))
 
     @property
     def domain_size(self) -> int:
-        return len(self.entries)
+        return self.entries_array.shape[0]
 
     @property
     def codomain_size(self) -> int:
-        return len(self.entries[0])
+        return self.entries_array.shape[1]
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Profunctor)
+            and self.quantale is other.quantale
+            and np.array_equal(self.entries_array, other.entries_array)
+        )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PresheafVector:
-    """One quantale value per object; PRE vectors live over the domain of a
-    profunctor, OPCO vectors over its codomain."""
+    """One quantale value per object, held as one encoded array (given as
+    such or as a sequence of scalars).  PRE vectors live over the domain of
+    a profunctor, OPCO vectors over its codomain."""
 
-    values: tuple[object, ...]
+    values_array: np.ndarray
     side: Side
     quantale: Quantale
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
-        if not self.values:
+        arr = self.quantale.encode(self.values_array)
+        if not arr.size:
             raise ValueError("presheaf vector must be non-empty")
-        for v in self.values:
-            self.quantale.check_value(v)
+        object.__setattr__(self, "values_array", arr)
+
+    @cached_property
+    def values(self) -> tuple[object, ...]:
+        return self.quantale.decode(self.values_array)
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.values_array)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, PresheafVector)
+            and self.side is other.side
+            and self.quantale is other.quantale
+            and np.array_equal(self.values_array, other.values_array)
+        )
 
 
 def identity_profunctor(n: int, quantale: Quantale) -> Profunctor:
     """Unit on the diagonal, bottom elsewhere; the unit of composition."""
-    bot = quantale.bottom
-    rows = tuple(
-        tuple(quantale.unit if i == j else bot for j in range(n)) for i in range(n)
-    )
-    return Profunctor(rows, quantale)
+    unit, bottom = quantale.encode((quantale.unit, quantale.bottom))
+    return Profunctor(np.where(np.eye(n, dtype=bool), unit, bottom), quantale)
 
 
 def _require_side(vector: PresheafVector, side: Side | None, expected: Side) -> None:
@@ -267,6 +252,27 @@ def _require_side(vector: PresheafVector, side: Side | None, expected: Side) -> 
         raise ValueError(f"expected a {expected.value} vector, got {vector.side.value}")
 
 
+def adjoint_arrays(q: Quantale, matrix: np.ndarray, vector: np.ndarray, axis: int) -> np.ndarray:
+    """One side of the adjunction on encoded arrays: the meet along ``axis``
+    of residuate(vector, matrix), the vector laid along that axis.  Axis 0
+    is ``push``, axis 1 is ``pull``."""
+    laid = vector[:, np.newaxis] if axis == 0 else vector
+    return q.meet.reduce(q.residuate(laid, matrix), axis=axis)
+
+
+def _adjoint(profunctor: Profunctor, vector: PresheafVector, axis: int) -> PresheafVector:
+    verb, side, other = (("push", Side.PRE, Side.OPCO), ("pull", Side.OPCO, Side.PRE))[axis]
+    if vector.side is not side:
+        raise ValueError(f"{verb} needs a vector on the {side.value} side")
+    if vector.quantale is not profunctor.quantale:
+        raise ValueError("vector and profunctor use different quantales")
+    size = profunctor.entries_array.shape[axis]
+    if len(vector) != size:
+        raise SizeMismatchError(f"{verb}: vector of length {len(vector)} against {size} objects")
+    q = profunctor.quantale
+    return PresheafVector(adjoint_arrays(q, profunctor.entries_array, vector.values_array, axis), other, q)
+
+
 def push(profunctor: Profunctor, pre: PresheafVector) -> PresheafVector:
     """Adjoint image of a PRE vector: out(b) = meet_a [P(a), M(a,b)].
 
@@ -274,40 +280,12 @@ def push(profunctor: Profunctor, pre: PresheafVector) -> PresheafVector:
     difference grouped exactly that way; over truth it reads
     "b is related to everything P contains".
     """
-    if pre.side is not Side.PRE:
-        raise ValueError("push needs a PRE vector")
-    if pre.quantale is not profunctor.quantale:
-        raise ValueError("vector and profunctor use different quantales")
-    if len(pre) != profunctor.domain_size:
-        raise SizeMismatchError(
-            f"vector of length {len(pre)} against domain of size {profunctor.domain_size}"
-        )
-    q = profunctor.quantale
-    entries = profunctor.entries
-    vals = tuple(
-        q.meet(q.residuate(pre.values[a], entries[a][b]) for a in range(profunctor.domain_size))
-        for b in range(profunctor.codomain_size)
-    )
-    return PresheafVector(vals, Side.OPCO, q)
+    return _adjoint(profunctor, pre, 0)
 
 
 def pull(profunctor: Profunctor, opco: PresheafVector) -> PresheafVector:
     """Adjoint preimage of an OPCO vector: out(a) = meet_b [Q(b), M(a,b)]."""
-    if opco.side is not Side.OPCO:
-        raise ValueError("pull needs an OPCO vector")
-    if opco.quantale is not profunctor.quantale:
-        raise ValueError("vector and profunctor use different quantales")
-    if len(opco) != profunctor.codomain_size:
-        raise SizeMismatchError(
-            f"vector of length {len(opco)} against codomain of size {profunctor.codomain_size}"
-        )
-    q = profunctor.quantale
-    entries = profunctor.entries
-    vals = tuple(
-        q.meet(q.residuate(opco.values[b], entries[a][b]) for b in range(profunctor.codomain_size))
-        for a in range(profunctor.domain_size)
-    )
-    return PresheafVector(vals, Side.PRE, q)
+    return _adjoint(profunctor, opco, 1)
 
 
 def closure(profunctor: Profunctor, vector: PresheafVector, side: Side | None = None) -> PresheafVector:
@@ -319,10 +297,8 @@ def closure(profunctor: Profunctor, vector: PresheafVector, side: Side | None = 
 
 
 def _vectors_approx_equal(a: PresheafVector, b: PresheafVector, tol: float) -> bool:
-    if a.side is not b.side or len(a) != len(b):
-        return False
-    q = a.quantale
-    return all(q.approx_equal(x, y, tol) for x, y in zip(a.values, b.values))
+    same_shape = a.side is b.side and len(a) == len(b)
+    return same_shape and a.quantale.approx_equal(a.values_array, b.values_array, tol)
 
 
 def is_fixed(
@@ -358,9 +334,8 @@ def hom_distance(f1: PresheafVector, f2: PresheafVector, side: Side | None = Non
     if f1.quantale is not f2.quantale:
         raise ValueError("vectors use different quantales")
     q = f1.quantale
-    if f1.side is Side.PRE:
-        return q.meet(q.residuate(a, b) for a, b in zip(f1.values, f2.values))
-    return q.meet(q.residuate(b, a) for a, b in zip(f1.values, f2.values))
+    b, c = (f1, f2) if f1.side is Side.PRE else (f2, f1)
+    return q.decode(q.meet.reduce(q.residuate(b.values_array, c.values_array), keepdims=True))[0]
 
 
 def adjunction_gap(profunctor: Profunctor, pre: PresheafVector, opco: PresheafVector):
@@ -375,27 +350,23 @@ def compose_profunctors(first: Profunctor, second: Profunctor) -> Profunctor:
     """Relational composite: out(a,c) = join_b first(a,b) (x) second(b,c).
 
     Over the extended reals this is the min-plus matrix product; over
-    truth it is composition of relations.
+    truth it is composition of relations.  Built one output row at a
+    time, so the temporary holds one mid x width block.
     """
     if first.quantale is not second.quantale:
         raise ValueError("profunctors use different quantales")
     if first.codomain_size != second.domain_size:
-        raise SizeMismatchError(
-            f"inner sizes differ: {first.codomain_size} vs {second.domain_size}"
-        )
+        raise SizeMismatchError(f"inner sizes differ: {first.codomain_size} vs {second.domain_size}")
     q = first.quantale
-    mid = first.codomain_size
-    rows = tuple(
-        tuple(
-            q.join(q.tensor(first.entries[a][b], second.entries[b][c]) for b in range(mid))
-            for c in range(second.codomain_size)
-        )
-        for a in range(first.domain_size)
-    )
-    return Profunctor(rows, q)
+    right = second.entries_array
+    out = np.empty((first.domain_size, second.codomain_size), dtype=q.dtype)
+    for a, row in enumerate(first.entries_array):
+        out[a] = q.join.reduce(q.tensor(row[:, np.newaxis], right), axis=0)
+    return Profunctor(out, q)
 
 
-def _same_family(vectors: Sequence[PresheafVector]) -> tuple[Side, Quantale, int]:
+def _stack_family(vectors: Sequence[PresheafVector]) -> tuple[Side, Quantale, np.ndarray]:
+    """The shared side and quantale of the vectors, and their arrays as rows."""
     head = vectors[0]
     for v in vectors[1:]:
         if v.side is not head.side:
@@ -404,35 +375,27 @@ def _same_family(vectors: Sequence[PresheafVector]) -> tuple[Side, Quantale, int
             raise ValueError("vectors must share a quantale")
         if len(v) != len(head):
             raise SizeMismatchError("vectors must share a length")
-    return head.side, head.quantale, len(head)
+    return head.side, head.quantale, np.stack([v.values_array for v in vectors])
 
 
 def pointwise_meet(vectors: Sequence[PresheafVector]) -> PresheafVector:
-    side, q, n = _same_family(vectors)
-    vals = tuple(q.meet(v.values[i] for v in vectors) for i in range(n))
-    return PresheafVector(vals, side, q)
+    side, q, rows = _stack_family(vectors)
+    return PresheafVector(q.meet.reduce(rows, axis=0), side, q)
 
 
 def pointwise_join(vectors: Sequence[PresheafVector]) -> PresheafVector:
-    side, q, n = _same_family(vectors)
-    vals = tuple(q.join(v.values[i] for v in vectors) for i in range(n))
-    return PresheafVector(vals, side, q)
+    side, q, rows = _stack_family(vectors)
+    return PresheafVector(q.join.reduce(rows, axis=0), side, q)
 
 
 def tensor_each(scalar, vector: PresheafVector) -> PresheafVector:
     q = vector.quantale
-    q.check_value(scalar)
-    return PresheafVector(tuple(q.tensor(scalar, v) for v in vector.values), vector.side, q)
+    return PresheafVector(q.tensor(q.encode((scalar,)), vector.values_array), vector.side, q)
 
 
 def residuate_each(scalar, vector: PresheafVector) -> PresheafVector:
     q = vector.quantale
-    q.check_value(scalar)
-    return PresheafVector(tuple(q.residuate(scalar, v) for v in vector.values), vector.side, q)
-
-
-def _constant_vector(value, length: int, side: Side, q: Quantale) -> PresheafVector:
-    return PresheafVector((value,) * length, side, q)
+    return PresheafVector(q.residuate(q.encode((scalar,)), vector.values_array), vector.side, q)
 
 
 def _check_fixed_pair(profunctor: Profunctor, pair, tol: float) -> None:
@@ -469,29 +432,13 @@ def nucleus_limit(
     opcos = [qv for _, qv in pairs]
 
     if kind is LimitKind.PRODUCT:
-        p_out = (
-            pointwise_meet(pres)
-            if pres
-            else _constant_vector(q.top, na, Side.PRE, q)
-        )
-        q_join = (
-            pointwise_join(opcos)
-            if opcos
-            else _constant_vector(q.bottom, nb, Side.OPCO, q)
-        )
+        p_out = pointwise_meet(pres) if pres else PresheafVector((q.top,) * na, Side.PRE, q)
+        q_join = pointwise_join(opcos) if opcos else PresheafVector((q.bottom,) * nb, Side.OPCO, q)
         return p_out, closure(profunctor, q_join)
 
     if kind is LimitKind.COPRODUCT:
-        p_join = (
-            pointwise_join(pres)
-            if pres
-            else _constant_vector(q.bottom, na, Side.PRE, q)
-        )
-        q_out = (
-            pointwise_meet(opcos)
-            if opcos
-            else _constant_vector(q.top, nb, Side.OPCO, q)
-        )
+        p_join = pointwise_join(pres) if pres else PresheafVector((q.bottom,) * na, Side.PRE, q)
+        q_out = pointwise_meet(opcos) if opcos else PresheafVector((q.top,) * nb, Side.OPCO, q)
         return closure(profunctor, p_join), q_out
 
     if kind in (LimitKind.TENSOR, LimitKind.COTENSOR):
@@ -505,15 +452,16 @@ def nucleus_limit(
     raise ValueError(f"unknown limit kind: {kind!r}")
 
 
+def _distance_array(d: Sequence[Sequence[ExtReal]]) -> np.ndarray:
+    arr = EXT_REAL.encode(d, ndim=2)
+    if arr.shape[0] != arr.shape[1]:
+        raise ValueError("distance matrix must be square")
+    return arr
+
+
 def underlying_preorder(d: Sequence[Sequence[ExtReal]]) -> tuple[tuple[bool, ...], ...]:
     """Relation induced by a distance matrix: i relates to j iff 0 >= d(i,j)."""
-    n = len(d)
-    for row in d:
-        if len(row) != n:
-            raise ValueError("distance matrix must be square")
-        for cell in row:
-            EXT_REAL.check_value(cell)
-    return tuple(tuple(ext.ZERO >= d[i][j] for j in range(n)) for i in range(n))
+    return tuple(map(tuple, (_distance_array(d) <= 0.0).tolist()))
 
 
 @dataclass(frozen=True)
@@ -536,24 +484,20 @@ class RSpaceReport:
 
 
 def check_rspace_axioms(d: Sequence[Sequence[ExtReal]]) -> RSpaceReport:
-    """Verify d(x,y) + d(y,z) >= d(x,z) and d(x,x) in {0, -inf}."""
-    n = len(d)
-    for row in d:
-        if len(row) != n:
-            raise ValueError("distance matrix must be square")
-        for cell in row:
-            EXT_REAL.check_value(cell)
-    diag = tuple(
-        (i, d[i][i]) for i in range(n) if d[i][i] not in (ext.ZERO, ext.NEG_INF)
-    )
-    tri = tuple(
-        (i, j, k)
-        for i in range(n)
-        for j in range(n)
-        for k in range(n)
-        if ext.compare(ext.add(d[i][j], d[j][k]), d[i][k]) < 0
-    )
-    return RSpaceReport(ok=not diag and not tri, diagonal_violations=diag, triangle_violations=tri)
+    """Verify d(x,y) + d(y,z) >= d(x,z) and d(x,x) in {0, -inf}.
+
+    Triangle violations are listed in lexicographic order; the check runs
+    one x at a time, so the temporary holds n x n cells.
+    """
+    arr = _distance_array(d)
+    self_dist = np.diagonal(arr)
+    bad = np.flatnonzero((self_dist != 0.0) & (self_dist != -np.inf)).tolist()
+    diag = tuple(zip(bad, ext.from_array(self_dist[bad])))
+    tri = []
+    for i, row in enumerate(arr):
+        hits = np.argwhere(ext.add_arrays(row[:, np.newaxis], arr) < row)
+        tri.extend((i, j, k) for j, k in hits.tolist())
+    return RSpaceReport(ok=not diag and not tri, diagonal_violations=diag, triangle_violations=tuple(tri))
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ __all__ = [
     "from_array",
     "add_arrays",
     "sub_arrays",
+    "approx_equal_arrays",
 ]
 
 
@@ -71,11 +72,8 @@ class ExtReal:
         return self.tag is Tag.FINITE
 
     def to_float(self) -> float:
-        if self.tag is Tag.POS_INF:
-            return math.inf
-        if self.tag is Tag.NEG_INF:
-            return -math.inf
-        return self.value
+        # infinite tags are +/-1, FINITE is 0: no Enum lookups in this per-cell call
+        return self.tag * math.inf if self.tag else self.value
 
     def __repr__(self) -> str:
         return f"ExtReal({render(self)})"
@@ -206,14 +204,23 @@ def from_array(arr: np.ndarray) -> tuple[ExtReal, ...]:
 
 
 def add_arrays(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # IEEE gives NaN only for (+inf) + (-inf), where the table says +inf.
-    with np.errstate(invalid="ignore"):
+    # IEEE gives NaN only for (+inf) + (-inf), where the table says +inf;
+    # finite overflow is the documented saturation to +/-inf.
+    with np.errstate(invalid="ignore", over="ignore"):
         out = np.asarray(x, dtype=np.float64) + np.asarray(y, dtype=np.float64)
     return np.where(np.isnan(out), np.inf, out)
 
 
 def sub_arrays(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     # IEEE gives NaN only for inf - inf of equal sign, where the table says -inf.
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         out = np.asarray(c, dtype=np.float64) - np.asarray(b, dtype=np.float64)
     return np.where(np.isnan(out), -np.inf, out)
+
+
+def approx_equal_arrays(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
+    """``approx_equal`` at every position of two encoded arrays of one shape:
+    infinite tags match exactly, finite values within ``tol``."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        near = np.isfinite(x) & np.isfinite(y) & (np.abs(x - y) <= tol)
+    return bool(np.all((x == y) | near))

@@ -12,8 +12,10 @@ along with the asymmetric climb/fall distances, the duality identities
 as checkable reports, and the two scalar actions that make convex
 functions a module over (min, +).
 
-All heavy operations run on float64 arrays in which IEEE infinities
-encode the infinite tags (see :mod:`nucleus.extreal`); results are
+The transforms are push and pull over the pairing M(x, k) = k*x: both
+run :func:`nucleus.core.adjoint_arrays` on the raw pairing array.  All
+heavy operations run on float64 arrays in which IEEE infinities encode
+the infinite tags (see :mod:`nucleus.extreal`); results are
 bit-identical to the scalar table arithmetic.
 """
 
@@ -28,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from . import extreal as ext
-from .core import FormatError, LimitKind, SizeMismatchError
+from .core import EXT_REAL, FormatError, LimitKind, SizeMismatchError, adjoint_arrays
 from .extreal import ExtReal
 
 __all__ = [
@@ -126,22 +128,14 @@ class SampledFunction:
     __slots__ = ("grid", "space", "_array", "_values")
 
     def __init__(self, grid: Grid, values, space: Space):
-        if isinstance(values, np.ndarray):
-            arr = np.asarray(values, dtype=np.float64).copy()
-        else:
-            arr = np.array(
-                [v.to_float() if isinstance(v, ExtReal) else float(v) for v in values],
-                dtype=np.float64,
-            )
+        if not isinstance(values, np.ndarray):
+            values = [v.to_float() if isinstance(v, ExtReal) else float(v) for v in values]
+        arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 1 or len(arr) != len(grid):
             raise ValueError("need exactly one value per grid point")
-        if np.isnan(arr).any():
-            raise ValueError("NaN has no extended-real meaning")
-        arr += 0.0  # canonicalize negative zeros
-        arr.setflags(write=False)
         self.grid = grid
         self.space = space
-        self._array = arr
+        self._array = EXT_REAL.encode(arr)
         self._values: tuple[ExtReal, ...] | None = None
 
     @property
@@ -219,19 +213,23 @@ def _require_same_grid(a: SampledFunction, b: SampledFunction) -> None:
         raise SizeMismatchError("functions live on different grids")
 
 
+def _pairing(xs: Grid, ks: Grid) -> np.ndarray:
+    """M(x, k) = k*x, points by slopes; products beyond the float range saturate."""
+    with np.errstate(over="ignore"):
+        return np.multiply.outer(xs.as_array, ks.as_array)
+
+
 def conjugate(f: SampledFunction, dual: Grid) -> SampledFunction:
-    """Slope transform: value at k is max over the grid of k*x - f(x)."""
+    """Slope transform, the push along the pairing: at k, max over x of k*x - f(x)."""
     _require_space(f, Space.PRIMAL, "conjugate input")
-    prods = np.multiply.outer(dual.as_array, f.grid.as_array)
-    vals = ext.sub_arrays(prods, f.values_array[np.newaxis, :]).max(axis=1)
+    vals = adjoint_arrays(EXT_REAL, _pairing(f.grid, dual), f.values_array, axis=0)
     return SampledFunction(dual, vals, Space.DUAL)
 
 
 def reverse_conjugate(g: SampledFunction, primal: Grid) -> SampledFunction:
-    """Mirror transform back to point space: max over slopes of k*x - g(k)."""
+    """Mirror transform, the pull along the pairing: at x, max over k of k*x - g(k)."""
     _require_space(g, Space.DUAL, "reverse_conjugate input")
-    prods = np.multiply.outer(primal.as_array, g.grid.as_array)
-    vals = ext.sub_arrays(prods, g.values_array[np.newaxis, :]).max(axis=1)
+    vals = adjoint_arrays(EXT_REAL, _pairing(primal, g.grid), g.values_array, axis=1)
     return SampledFunction(primal, vals, Space.PRIMAL)
 
 
@@ -324,22 +322,12 @@ def check_toland_singer(
     lhs = climb_distance(f1, f2)
     rhs = fall_distance(conjugate(f1, dual), conjugate(f2, dual))
     hull2 = biconjugate(f2, dual)
-    hypothesis_ok = _functions_approx_equal(hull2, f2, tol)
+    hypothesis_ok = ext.approx_equal_arrays(hull2.values_array, f2.values_array, tol)
     status = CheckStatus.OK if hypothesis_ok else CheckStatus.HYPOTHESIS_NOT_MET
     holds = hypothesis_ok and ext.approx_equal(lhs, rhs, tol)
     return DualityReport(
         lhs=lhs, rhs=rhs, relation=Relation.EQUAL, holds=holds, tolerance=tol, status=status
     )
-
-
-def _functions_approx_equal(a: SampledFunction, b: SampledFunction, tol: float) -> bool:
-    x, y = a.values_array, b.values_array
-    if not np.array_equal(np.isposinf(x), np.isposinf(y)):
-        return False
-    if not np.array_equal(np.isneginf(x), np.isneginf(y)):
-        return False
-    finite = np.isfinite(x)
-    return bool(np.all(np.abs(x[finite] - y[finite]) <= tol))
 
 
 def convex_hull_oracle(f: SampledFunction) -> SampledFunction:

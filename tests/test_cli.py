@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
+import nucleus
 from nucleus.cli import run
 from nucleus.galois import parse_cxt, render_cxt
 from nucleus.legendre import parse_function_csv, render_function_csv
@@ -215,3 +221,26 @@ def test_round_trip_canonical_files():
     assert render_function_csv(parse_function_csv(render_function_csv(f))) == render_function_csv(f)
     ctx = parse_cxt(WORKED_CXT)
     assert render_cxt(parse_cxt(render_cxt(ctx))) == render_cxt(ctx) == WORKED_CXT
+
+
+def test_conjugate_beyond_the_float_range_is_silent(tmp_path, capsys):
+    # k*x and k*x - f(x) overflow; both saturate to inf without a warning
+    path = write(tmp_path, "f.csv", "x,value\n1.0,-1.7e308\n2.0,0.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["conjugate", path, "--dual", "1.7e308:1.7e308:1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "x,value\n1.7e+308,inf\n"
+    assert captured.err == ""
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(nucleus.__file__).parents[1])}
+
+    def module_run(*argv):
+        cmd = [sys.executable, "-m", "nucleus", *argv]
+        return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+
+    tables = module_run("tables")
+    assert tables.returncode == 0 and tables.stdout.startswith("x + y\t-inf")
+    assert module_run("conjugate").returncode == 2
