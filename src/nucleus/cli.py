@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -194,9 +195,9 @@ def _cmd_plotdata(args: argparse.Namespace) -> int:
     f = _load_function(args.input, Space.PRIMAL)
     lines = []
     omitted = []
-    for x, v in zip(f.grid.points, f.values):
-        if v.is_finite:
-            lines.append(f"{x!r}\t{v.value!r}")
+    for x, v in zip(f.grid.points, f.values_array.tolist()):
+        if math.isfinite(v):
+            lines.append(f"{x!r}\t{ext.render_float(v)}")
         else:
             omitted.append(x)
     if omitted:

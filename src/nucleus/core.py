@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -57,6 +57,8 @@ __all__ = [
     "underlying_preorder",
     "check_rspace_axioms",
     "RSpaceReport",
+    "parse_labelled_csv",
+    "render_labelled_csv",
     "parse_matrix_csv",
     "render_matrix_csv",
 ]
@@ -245,13 +247,6 @@ def identity_profunctor(n: int, quantale: Quantale) -> Profunctor:
     return Profunctor(np.where(np.eye(n, dtype=bool), unit, bottom), quantale)
 
 
-def _require_side(vector: PresheafVector, side: Side | None, expected: Side) -> None:
-    if side is not None and side is not vector.side:
-        raise ValueError(f"side argument {side} does not match vector side {vector.side}")
-    if vector.side is not expected:
-        raise ValueError(f"expected a {expected.value} vector, got {vector.side.value}")
-
-
 def adjoint_arrays(q: Quantale, matrix: np.ndarray, vector: np.ndarray, axis: int) -> np.ndarray:
     """One side of the adjunction on encoded arrays: the meet along ``axis``
     of residuate(vector, matrix), the vector laid along that axis.  Axis 0
@@ -288,9 +283,8 @@ def pull(profunctor: Profunctor, opco: PresheafVector) -> PresheafVector:
     return _adjoint(profunctor, opco, 1)
 
 
-def closure(profunctor: Profunctor, vector: PresheafVector, side: Side | None = None) -> PresheafVector:
+def closure(profunctor: Profunctor, vector: PresheafVector) -> PresheafVector:
     """Round trip through the adjunction; idempotent on either side."""
-    _require_side(vector, side, vector.side)
     if vector.side is Side.PRE:
         return pull(profunctor, push(profunctor, vector))
     return push(profunctor, pull(profunctor, vector))
@@ -301,12 +295,7 @@ def _vectors_approx_equal(a: PresheafVector, b: PresheafVector, tol: float) -> b
     return same_shape and a.quantale.approx_equal(a.values_array, b.values_array, tol)
 
 
-def is_fixed(
-    profunctor: Profunctor,
-    vector: PresheafVector,
-    side: Side | None = None,
-    tol: float | None = None,
-) -> bool:
+def is_fixed(profunctor: Profunctor, vector: PresheafVector, tol: float | None = None) -> bool:
     """Whether the vector is a fixed point of its closure operator.
 
     Infinite tags must match exactly; finite coordinates may differ by
@@ -316,10 +305,10 @@ def is_fixed(
         tol = profunctor.quantale.default_fixed_tol
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    return _vectors_approx_equal(closure(profunctor, vector, side), vector, tol)
+    return _vectors_approx_equal(closure(profunctor, vector), vector, tol)
 
 
-def hom_distance(f1: PresheafVector, f2: PresheafVector, side: Side | None = None):
+def hom_distance(f1: PresheafVector, f2: PresheafVector):
     """Enriched hom between two vectors on the same side.
 
     PRE side: meet_x [F1(x), F2(x)], the maximal climb from F1 to F2
@@ -328,7 +317,6 @@ def hom_distance(f1: PresheafVector, f2: PresheafVector, side: Side | None = Non
     """
     if f1.side is not f2.side:
         raise ValueError("hom_distance needs two vectors on the same side")
-    _require_side(f1, side, f1.side)
     if len(f1) != len(f2):
         raise SizeMismatchError(f"vector lengths differ: {len(f1)} vs {len(f2)}")
     if f1.quantale is not f2.quantale:
@@ -367,6 +355,8 @@ def compose_profunctors(first: Profunctor, second: Profunctor) -> Profunctor:
 
 def _stack_family(vectors: Sequence[PresheafVector]) -> tuple[Side, Quantale, np.ndarray]:
     """The shared side and quantale of the vectors, and their arrays as rows."""
+    if not vectors:
+        raise ValueError("an empty family of vectors has no side, quantale or length")
     head = vectors[0]
     for v in vectors[1:]:
         if v.side is not head.side:
@@ -501,36 +491,57 @@ def check_rspace_axioms(d: Sequence[Sequence[ExtReal]]) -> RSpaceReport:
 
 
 # ---------------------------------------------------------------------------
-# Matrix CSV: first cell blank, then column labels; each data row starts
-# with its row label.  Cells are extended-real tokens.
+# Labelled-table CSV: first cell blank, then the column labels; each data
+# row starts with its row label.  Blank lines are skipped.  Matrices hold
+# extended-real tokens; contexts (nucleus.galois) hold 0/1.
 
-def parse_matrix_csv(text: str) -> tuple[tuple[str, ...], tuple[str, ...], Profunctor]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+def parse_labelled_csv(
+    text: str, what: str, cell: Callable[[str], object], nonempty: bool
+) -> tuple[tuple[str, ...], tuple[str, ...], list[list[object]]]:
+    """Row labels, column labels and the rows of ``cell``-parsed values.  A
+    ValueError from ``cell`` is reported at its line and column label; with
+    ``nonempty``, a table without a column label or a data row is refused."""
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
-        raise FormatError("empty matrix file")
-    header = [c.strip() for c in lines[0].split(",")]
-    if len(header) < 2:
-        raise FormatError("header needs at least one column label", line=1)
-    col_labels = tuple(header[1:])
-    row_labels = []
-    rows = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+        raise FormatError(f"empty {what} file")
+    (header_line, header), body = lines[0], lines[1:]
+    col_labels = tuple(c.strip() for c in header.split(",")[1:])
+    if nonempty and not col_labels:
+        raise FormatError("header needs at least one column label", line=header_line)
+    row_labels, rows = [], []
+    for lineno, ln in body:
         cells = [c.strip() for c in ln.split(",")]
         if len(cells) != len(col_labels) + 1:
-            raise FormatError(
-                f"expected {len(col_labels) + 1} cells, found {len(cells)}", line=lineno
-            )
+            raise FormatError(f"expected {len(col_labels) + 1} cells, found {len(cells)}", line=lineno)
         row_labels.append(cells[0])
-        parsed = []
-        for label, tok in zip(col_labels, cells[1:]):
+        row = []
+        for label, token in zip(col_labels, cells[1:]):
             try:
-                parsed.append(ext.parse(tok))
+                row.append(cell(token))
             except ValueError as e:
                 raise FormatError(str(e), line=lineno, field=label) from None
-        rows.append(tuple(parsed))
-    if not rows:
-        raise FormatError("matrix has no data rows")
-    return tuple(row_labels), col_labels, Profunctor(tuple(rows), EXT_REAL)
+        rows.append(row)
+    if nonempty and not rows:
+        raise FormatError(f"{what} has no data rows")
+    return tuple(row_labels), col_labels, rows
+
+
+def render_labelled_csv(row_labels: Sequence[str], col_labels: Sequence[str], rows: Iterable) -> str:
+    """The table whose rows are the given iterables of cell text.  A label
+    with a comma, or a table without columns, has no CSV form."""
+    for lab in (*row_labels, *col_labels):
+        if "," in lab:
+            raise FormatError(f"label {lab!r} may not contain a comma")
+    if not col_labels:
+        raise FormatError("a CSV table needs at least one column label")
+    out = ["," + ",".join(col_labels)]
+    out.extend(lab + "," + ",".join(cells) for lab, cells in zip(row_labels, rows))
+    return "\n".join(out) + "\n"
+
+
+def parse_matrix_csv(text: str) -> tuple[tuple[str, ...], tuple[str, ...], Profunctor]:
+    row_labels, col_labels, rows = parse_labelled_csv(text, "matrix", ext.parse, nonempty=True)
+    return row_labels, col_labels, Profunctor(rows, EXT_REAL)
 
 
 def render_matrix_csv(
@@ -538,10 +549,5 @@ def render_matrix_csv(
 ) -> str:
     if len(row_labels) != profunctor.domain_size or len(col_labels) != profunctor.codomain_size:
         raise SizeMismatchError("label counts do not match the matrix")
-    for lab in list(row_labels) + list(col_labels):
-        if "," in lab:
-            raise FormatError(f"label {lab!r} may not contain a comma")
-    out = ["," + ",".join(col_labels)]
-    for lab, row in zip(row_labels, profunctor.entries):
-        out.append(lab + "," + ",".join(ext.render(c) for c in row))
-    return "\n".join(out) + "\n"
+    rows = (map(ext.render_float, row) for row in profunctor.entries_array.tolist())
+    return render_labelled_csv(row_labels, col_labels, rows)

@@ -35,6 +35,7 @@ __all__ = [
     "approx_equal",
     "geq_within",
     "render",
+    "render_float",
     "parse",
     "to_array",
     "from_array",
@@ -164,11 +165,12 @@ def geq_within(a: ExtReal, b: ExtReal, tol: float) -> bool:
 
 def render(x: ExtReal) -> str:
     """Shortest round-trip text: ``inf``, ``-inf`` or a decimal literal."""
-    if x.tag is Tag.POS_INF:
-        return "inf"
-    if x.tag is Tag.NEG_INF:
-        return "-inf"
-    return repr(x.value)
+    return render_float(x.to_float())
+
+
+def render_float(v: float) -> str:
+    """Text of one encoded cell; float repr spells the infinities ``inf`` and ``-inf``."""
+    return float.__repr__(v)
 
 
 def parse(token: str) -> ExtReal:

@@ -2,11 +2,12 @@
 
 The polars of the relation form a Galois connection between subsets of
 objects and subsets of attributes; the pairs fixed by both closures are
-the concepts.  Enumeration uses lectic-order closure stepping, which
-visits every closed extent exactly once without touching the full
-powerset; subsets are bitmask integers internally so closures are a
-handful of word operations.  Lattice meets intersect extents, lattice
-joins close the union, both staying inside the fixed set.
+the concepts.  Subsets are bitmask integers, and one polar kernel serves
+both sides (0 the objects, 1 the attributes).  Lectic-order closure
+stepping visits every closed extent once without touching the powerset;
+a lattice keeps the concepts with their extent masks and builds the
+inclusion order only when read.  Meets intersect extents, joins close
+the union.  A context's CSV form is core's labelled table with 0/1 cells.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import FormatError
+from .core import TRUTH, FormatError, Profunctor, parse_labelled_csv, render_labelled_csv
 
 __all__ = [
     "UnknownLabelError",
@@ -79,94 +80,74 @@ class Context:
         attributes: Sequence[str],
         pairs: Iterable[tuple[str, str]],
     ) -> "Context":
-        oi = {g: i for i, g in enumerate(objects)}
-        ai = {m: j for j, m in enumerate(attributes)}
+        blank = cls(objects, attributes, [[False] * len(attributes)] * len(objects))
         grid = [[False] * len(attributes) for _ in objects]
         for g, m in pairs:
-            if g not in oi:
-                raise UnknownLabelError(f"unknown object {g!r}")
-            if m not in ai:
-                raise UnknownLabelError(f"unknown attribute {m!r}")
-            grid[oi[g]][ai[m]] = True
-        return cls(tuple(objects), tuple(attributes), tuple(tuple(r) for r in grid))
+            grid[blank._position(g, 0)][blank._position(m, 1)] = True
+        return cls(blank.objects, blank.attributes, grid)
 
     @cached_property
-    def _object_index(self) -> dict[str, int]:
-        return {g: i for i, g in enumerate(self.objects)}
+    def _index(self) -> tuple[dict[str, int], dict[str, int]]:
+        return tuple({label: i for i, label in enumerate(side)} for side in (self.objects, self.attributes))
 
     @cached_property
-    def _attribute_index(self) -> dict[str, int]:
-        return {m: j for j, m in enumerate(self.attributes)}
+    def _masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        # side 0: per object, the mask of its attributes; side 1: per attribute, its objects
+        grid = np.array(self.incidence, dtype=bool).reshape(len(self.objects), len(self.attributes))
+        packed = (np.packbits(g, axis=1, bitorder="little") for g in (grid, grid.T))
+        return tuple(tuple(int.from_bytes(row.tobytes(), "little") for row in side) for side in packed)
 
-    @cached_property
-    def _row_masks(self) -> tuple[int, ...]:
-        # per object: bitmask of its attributes
-        return tuple(
-            sum(1 << j for j, hit in enumerate(row) if hit) for row in self.incidence
-        )
+    def _position(self, label: str, side: int) -> int:
+        i = self._index[side].get(label)
+        if i is None:
+            raise UnknownLabelError(f"unknown {('object', 'attribute')[side]} {label!r}")
+        return i
 
-    @cached_property
-    def _col_masks(self) -> tuple[int, ...]:
-        # per attribute: bitmask of the objects carrying it
-        return tuple(
-            sum(1 << i for i, row in enumerate(self.incidence) if row[j])
-            for j in range(len(self.attributes))
-        )
+    def _mask_of(self, labels: Iterable[str], side: int) -> int:
+        mask = 0
+        for label in labels:
+            mask |= 1 << self._position(label, side)
+        return mask
+
+    def _labels_of(self, mask: int, side: int) -> tuple[str, ...]:
+        return tuple(label for i, label in enumerate((self.objects, self.attributes)[side]) if mask >> i & 1)
+
+    def _polar(self, mask: int, side: int) -> int:
+        """The members of the other side related to every member of ``mask``."""
+        rows, other = self._masks[side], self._masks[1 - side]
+        out = (1 << len(other)) - 1
+        i = 0
+        while mask:
+            if mask & 1:
+                out &= rows[i]
+            mask >>= 1
+            i += 1
+        return out
 
     def object_mask(self, labels: Iterable[str]) -> int:
-        mask = 0
-        for g in labels:
-            i = self._object_index.get(g)
-            if i is None:
-                raise UnknownLabelError(f"unknown object {g!r}")
-            mask |= 1 << i
-        return mask
+        return self._mask_of(labels, 0)
 
     def attribute_mask(self, labels: Iterable[str]) -> int:
-        mask = 0
-        for m in labels:
-            j = self._attribute_index.get(m)
-            if j is None:
-                raise UnknownLabelError(f"unknown attribute {m!r}")
-            mask |= 1 << j
-        return mask
+        return self._mask_of(labels, 1)
 
     def object_labels(self, mask: int) -> tuple[str, ...]:
-        return tuple(g for i, g in enumerate(self.objects) if mask >> i & 1)
+        return self._labels_of(mask, 0)
 
     def attribute_labels(self, mask: int) -> tuple[str, ...]:
-        return tuple(m for j, m in enumerate(self.attributes) if mask >> j & 1)
+        return self._labels_of(mask, 1)
 
     def polar_up_mask(self, object_mask: int) -> int:
-        mask = (1 << len(self.attributes)) - 1
-        rows = self._row_masks
-        i = 0
-        while object_mask:
-            if object_mask & 1:
-                mask &= rows[i]
-            object_mask >>= 1
-            i += 1
-        return mask
+        return self._polar(object_mask, 0)
 
     def polar_down_mask(self, attribute_mask: int) -> int:
-        mask = (1 << len(self.objects)) - 1
-        cols = self._col_masks
-        j = 0
-        while attribute_mask:
-            if attribute_mask & 1:
-                mask &= cols[j]
-            attribute_mask >>= 1
-            j += 1
-        return mask
+        return self._polar(attribute_mask, 1)
 
     def close_extent_mask(self, object_mask: int) -> int:
-        return self.polar_down_mask(self.polar_up_mask(object_mask))
+        return self._polar(self._polar(object_mask, 0), 1)
 
     def to_profunctor(self):
         """The incidence relation as a truth-valued profunctor, for use with
         the generic push/pull machinery."""
-        from .core import TRUTH, Profunctor
-
         return Profunctor(self.incidence, TRUTH)
 
 
@@ -225,7 +206,6 @@ def _lectic_closed_extents(ctx: Context) -> Iterator[int]:
     current = ctx.close_extent_mask(0)
     yield current
     while True:
-        found = False
         for i in range(n - 1, -1, -1):
             if current >> i & 1:
                 continue
@@ -233,19 +213,20 @@ def _lectic_closed_extents(ctx: Context) -> Iterator[int]:
             candidate = ctx.close_extent_mask((current & below) | (1 << i))
             if candidate & below == current & below:
                 current = candidate
-                found = True
                 break
-        if not found:
+        else:
             return
         yield current
 
 
 @dataclass(frozen=True)
 class ConceptLattice:
-    """All concepts of a context with their extent-inclusion order."""
+    """All concepts of a context in lectic order, with the extent bitmask of
+    each: the first is the bottom, the closure of the empty set, and the
+    last is the top, whose extent holds every object."""
 
     concepts: tuple[Concept, ...]
-    order: tuple[tuple[bool, ...], ...]  # order[i][j]: concept i <= concept j
+    extent_masks: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.concepts)
@@ -253,13 +234,19 @@ class ConceptLattice:
     def index_of(self, concept: Concept) -> int:
         return self.concepts.index(concept)
 
+    @cached_property
+    def order(self) -> tuple[tuple[bool, ...], ...]:
+        """``order[i][j]``: concept i <= concept j, by extent inclusion."""
+        masks = self.extent_masks
+        return tuple(tuple(a & b == a for b in masks) for a in masks)
+
     @property
     def top(self) -> Concept:
-        return next(c for i, c in enumerate(self.concepts) if all(self.order[j][i] for j in range(len(self))))
+        return self.concepts[-1]
 
     @property
     def bottom(self) -> Concept:
-        return next(c for i, c in enumerate(self.concepts) if all(self.order[i][j] for j in range(len(self))))
+        return self.concepts[0]
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Pairs (i, j) with concept j covering concept i: the transitive
@@ -271,34 +258,27 @@ class ConceptLattice:
 
 
 def enumerate_concepts(ctx: Context) -> ConceptLattice:
-    """Complete concept set in lectic order with the inclusion order matrix."""
-    extents = list(_lectic_closed_extents(ctx))
-    concepts = tuple(_concept_from_extent_mask(ctx, e) for e in extents)
-    order = tuple(
-        tuple(ei & ej == ei for ej in extents) for ei in extents
-    )
-    return ConceptLattice(concepts=concepts, order=order)
+    """Complete concept set in lectic order of the extents."""
+    extents = tuple(_lectic_closed_extents(ctx))
+    return ConceptLattice(tuple(_concept_from_extent_mask(ctx, e) for e in extents), extents)
 
 
-def _require_concept(ctx: Context, concept: Concept) -> tuple[int, int]:
+def _extent_mask(ctx: Context, concept: Concept) -> int:
     if not is_concept(ctx, concept):
         raise NotAConceptError(f"not a concept of this context: {concept}")
-    return ctx.object_mask(concept.extent), ctx.attribute_mask(concept.intent)
+    return ctx.object_mask(concept.extent)
 
 
 def lattice_meet(ctx: Context, c1: Concept, c2: Concept) -> Concept:
     """Greatest common subconcept: intersect extents (already closed)."""
-    e1, _ = _require_concept(ctx, c1)
-    e2, _ = _require_concept(ctx, c2)
-    return _concept_from_extent_mask(ctx, e1 & e2)
+    return _concept_from_extent_mask(ctx, _extent_mask(ctx, c1) & _extent_mask(ctx, c2))
 
 
 def lattice_join(ctx: Context, c1: Concept, c2: Concept) -> Concept:
     """Least common superconcept: close the union of extents; the intent is
     the intersection of intents."""
-    e1, _ = _require_concept(ctx, c1)
-    e2, _ = _require_concept(ctx, c2)
-    return _concept_from_extent_mask(ctx, ctx.close_extent_mask(e1 | e2))
+    union = _extent_mask(ctx, c1) | _extent_mask(ctx, c2)
+    return _concept_from_extent_mask(ctx, ctx.close_extent_mask(union))
 
 
 def export_dot(lattice: ConceptLattice) -> str:
@@ -363,15 +343,10 @@ def parse_cxt(text: str) -> Context:
             raise FormatError(
                 f"incidence row has {len(row)} cells, expected {n_attr}", line=lineno
             )
-        cells = []
-        for ch in row:
-            if ch in "Xx":
-                cells.append(True)
-            elif ch == ".":
-                cells.append(False)
-            else:
-                raise FormatError(f"incidence cells must be 'X' or '.', got {ch!r}", line=lineno)
-        rows.append(tuple(cells))
+        bad = [ch for ch in row if ch not in "Xx."]
+        if bad:
+            raise FormatError(f"incidence cells must be 'X' or '.', got {bad[0]!r}", line=lineno)
+        rows.append(tuple(ch != "." for ch in row))
     try:
         return Context(tuple(objects), tuple(attributes), tuple(rows))
     except ValueError as e:
@@ -387,39 +362,21 @@ def render_cxt(ctx: Context) -> str:
     return "\n".join(out) + "\n"
 
 
+def _incidence_cell(token: str) -> bool:
+    if token not in ("0", "1"):
+        raise ValueError("incidence cells must be 0 or 1")
+    return token == "1"
+
+
 def parse_context_csv(text: str) -> Context:
     """0/1 matrix with a header of attribute labels and a leading label column."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise FormatError("empty context file")
-    header = [c.strip() for c in lines[0].split(",")]
-    attributes = tuple(header[1:])
-    objects = []
-    rows = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        cells = [c.strip() for c in ln.split(",")]
-        if len(cells) != len(attributes) + 1:
-            raise FormatError(
-                f"expected {len(attributes) + 1} cells, found {len(cells)}", line=lineno
-            )
-        objects.append(cells[0])
-        row = []
-        for label, tok in zip(attributes, cells[1:]):
-            if tok not in ("0", "1"):
-                raise FormatError("incidence cells must be 0 or 1", line=lineno, field=label)
-            row.append(tok == "1")
-        rows.append(tuple(row))
+    objects, attributes, rows = parse_labelled_csv(text, "context", _incidence_cell, nonempty=False)
     try:
-        return Context(tuple(objects), attributes, tuple(rows))
+        return Context(objects, attributes, rows)
     except ValueError as e:
         raise FormatError(str(e)) from None
 
 
 def render_context_csv(ctx: Context) -> str:
-    for lab in ctx.objects + ctx.attributes:
-        if "," in lab:
-            raise FormatError(f"label {lab!r} may not contain a comma")
-    out = ["," + ",".join(ctx.attributes)]
-    for g, row in zip(ctx.objects, ctx.incidence):
-        out.append(g + "," + ",".join("1" if c else "0" for c in row))
-    return "\n".join(out) + "\n"
+    rows = (("1" if c else "0" for c in row) for row in ctx.incidence)
+    return render_labelled_csv(ctx.objects, ctx.attributes, rows)

@@ -498,7 +498,5 @@ def parse_function_csv(text: str, space: Space = Space.PRIMAL) -> SampledFunctio
 
 
 def render_function_csv(f: SampledFunction) -> str:
-    out = ["x,value"]
-    for x, v in zip(f.grid.points, f.values):
-        out.append(f"{x!r},{ext.render(v)}")
-    return "\n".join(out) + "\n"
+    cells = map(ext.render_float, f.values_array.tolist())
+    return "x,value\n" + "".join(f"{x!r},{v}\n" for x, v in zip(f.grid.points, cells))

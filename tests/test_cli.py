@@ -12,9 +12,11 @@ from pathlib import Path
 import pytest
 
 import nucleus
+from nucleus import extreal as ext
 from nucleus.cli import run
+from nucleus.core import EXT_REAL, Profunctor, render_matrix_csv
 from nucleus.galois import parse_cxt, render_cxt
-from nucleus.legendre import parse_function_csv, render_function_csv
+from nucleus.legendre import Grid, SampledFunction, Space, parse_function_csv, render_function_csv
 
 IDENT2_CXT = "B\n\n2\n2\ng1\ng2\nm1\nm2\nX.\n.X\n"
 WORKED_CXT = "B\n\n3\n2\n1\n2\n3\na\nb\nX.\nXX\n..\n"
@@ -176,6 +178,31 @@ def test_plotdata_all_finite_has_no_comment(tmp_path, capsys):
     path = write(tmp_path, "f.csv", "x,value\n0.0,0.5\n")
     assert run(["plotdata", path]) == 0
     assert "#" not in capsys.readouterr().out
+
+
+def cell_text(x):
+    # the per-cell renderer that text output used before it read the arrays
+    if x.tag is ext.Tag.POS_INF:
+        return "inf"
+    if x.tag is ext.Tag.NEG_INF:
+        return "-inf"
+    return repr(x.value)
+
+
+def test_text_output_at_the_float_corners(tmp_path, capsys):
+    corners = [float("inf"), -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, float("-inf"), 0.1]
+    f = SampledFunction(Grid(tuple(range(len(corners)))), corners, Space.PRIMAL)
+    want = "".join(f"{x!r},{cell_text(v)}\n" for x, v in zip(f.grid.points, f.values))
+    assert render_function_csv(f) == "x,value\n" + want
+    assert want.splitlines()[1:4] == ["1.0,0.0", "2.0,5e-324", "3.0,-5e-324"]
+    assert ext.render(ext.ExtReal(ext.Tag.FINITE, -0.0)) == "-0.0"
+    m = Profunctor((f.values[:4], f.values[4:]), EXT_REAL)
+    rows = [",".join(["r" + str(i)] + [cell_text(v) for v in row]) for i, row in enumerate(m.entries)]
+    assert render_matrix_csv(("r0", "r1"), ("a", "b", "c", "d"), m) == "\n".join([",a,b,c,d", *rows]) + "\n"
+    assert run(["plotdata", write(tmp_path, "f.csv", render_function_csv(f))]) == 0
+    finite = [f"{x!r}\t{v.value!r}" for x, v in zip(f.grid.points, f.values) if v.is_finite]
+    omitted = "# omitted 2 infinite samples: x=0.0, x=6.0"
+    assert capsys.readouterr().out == "\n".join([*finite, omitted]) + "\n"
 
 
 def test_exit_two_on_malformed_input(tmp_path, capsys):

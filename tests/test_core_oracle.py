@@ -276,6 +276,12 @@ def test_ragged_or_empty_matrices_are_value_errors():
         underlying_preorder(((ZERO,), (ZERO, ZERO)))
 
 
+def test_empty_families_are_value_errors():
+    for fold in (pointwise_meet, pointwise_join):
+        with pytest.raises(ValueError, match="empty family"):
+            fold([])
+
+
 def test_empty_distance_matrix():
     report = check_rspace_axioms(())
     assert report.ok and report.diagonal_violations == () and report.triangle_violations == ()
