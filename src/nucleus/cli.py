@@ -16,6 +16,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import extreal as ext
 from .core import FormatError, compose_profunctors, parse_matrix_csv, render_matrix_csv
 from .galois import enumerate_concepts, export_dot, parse_context_csv, parse_cxt
@@ -71,13 +73,19 @@ def _load_matrix(path: str):
         raise _attach_source(e, path)
 
 
-def _parse_dual_spec(spec: str, functions: list[SampledFunction]) -> Grid:
-    """Either ``lo:hi:step`` or ``auto`` (difference quotients of the inputs)."""
+def _parse_dual_spec(spec: str, inputs: list[tuple[str, SampledFunction]]) -> Grid:
+    """Either ``lo:hi:step`` or ``auto`` (difference quotients of the inputs,
+    each given with the path it was read from)."""
     if spec == "auto":
-        points: set[float] = set()
-        for f in functions:
-            points.update(default_dual_grid(f).points)
-        return Grid(tuple(sorted(points)))
+        grids = []
+        for path, f in inputs:
+            try:
+                grids.append(default_dual_grid(f))
+            except ValueError as e:
+                raise ValueError(f"{path}: {e}; give --dual lo:hi:step") from None
+        if len(grids) == 1:
+            return grids[0]
+        return Grid(np.unique(np.concatenate([g.as_array for g in grids])))
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"dual grid must be lo:hi:step or auto, got {spec!r}")
@@ -85,7 +93,10 @@ def _parse_dual_spec(spec: str, functions: list[SampledFunction]) -> Grid:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise ValueError(f"dual grid must be lo:hi:step or auto, got {spec!r}") from None
-    return Grid.from_range(lo, hi, step)
+    try:
+        return Grid.from_range(lo, hi, step)
+    except ValueError as e:
+        raise ValueError(f"--dual {spec}: {e}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -116,14 +127,14 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 def _cmd_conjugate(args: argparse.Namespace) -> int:
     f = _load_function(args.input, Space.PRIMAL)
-    dual = _parse_dual_spec(args.dual, [f])
+    dual = _parse_dual_spec(args.dual, [(args.input, f)])
     _emit(render_function_csv(conjugate(f, dual)), args.out)
     return 0
 
 
 def _cmd_biconjugate(args: argparse.Namespace) -> int:
     f = _load_function(args.input, Space.PRIMAL)
-    dual = _parse_dual_spec(args.dual, [f])
+    dual = _parse_dual_spec(args.dual, [(args.input, f)])
     _emit(render_function_csv(biconjugate(f, dual)), args.out)
     return 0
 
@@ -150,14 +161,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.kind == "adjunction":
         f = _load_function(args.first, Space.PRIMAL)
         g = _load_function(args.second, Space.DUAL)
-        dual = _parse_dual_spec(args.dual, [f]) if args.dual else None
+        dual = _parse_dual_spec(args.dual, [(args.first, f)]) if args.dual else None
         report = check_lf_adjunction(f, g, dual=dual, tol=tol)
     else:
         f1 = _load_function(args.first, Space.PRIMAL)
         f2 = _load_function(args.second, Space.PRIMAL)
         if not args.dual:
             raise ValueError(f"check {args.kind} needs --dual")
-        dual = _parse_dual_spec(args.dual, [f1, f2])
+        dual = _parse_dual_spec(args.dual, [(args.first, f1), (args.second, f2)])
         if args.kind == "short":
             report = check_short(f1, f2, dual, tol=tol)
         else:

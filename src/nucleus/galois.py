@@ -332,11 +332,10 @@ def parse_cxt(text: str) -> Context:
     objects = [next_line("an object name", skip_blank=True)[1].strip() for _ in range(n_obj)]
     attributes = [next_line("an attribute name", skip_blank=True)[1].strip() for _ in range(n_attr)]
 
-    if n_attr == 0:
-        # incidence rows are empty lines, indistinguishable from separators
-        return Context(tuple(objects), (), ((),) * n_obj)
-    rows = []
-    for _ in range(n_obj):
+    # without attributes the incidence rows are empty lines, indistinguishable
+    # from separators, so none are read
+    rows = [] if n_attr else [()] * n_obj
+    for _ in range(n_obj if n_attr else 0):
         lineno, raw = next_line("an incidence row", skip_blank=True)
         row = raw.strip()
         if len(row) != n_attr:

@@ -3,20 +3,33 @@
 A sampled function is a finite strictly increasing grid of abscissae
 with one extended-real value per point; it stands for the function that
 equals its samples on the grid and +inf elsewhere.  The conjugate of a
-primal function against a grid of slopes is the brute-force supremum
-``max_x (k*x - f(x))`` with the subtraction taken from the saturating
-tables, and the reverse transform mirrors it.  Conjugating twice gives
-the largest convex minorant representable on the chosen slope grid; an
-independent geometric lower-hull routine is provided as a cross-check,
-along with the asymmetric climb/fall distances, the duality identities
-as checkable reports, and the two scalar actions that make convex
+primal function against a grid of slopes is ``max_x (k*x - f(x))`` with
+the subtraction taken from the saturating tables, and the reverse
+transform mirrors it.  Conjugating twice gives the largest convex
+minorant representable on the chosen slope grid; an independent
+geometric lower-hull routine is provided as a cross-check, along with
+the asymmetric climb/fall distances, the duality identities as
+checkable reports, and the two scalar actions that make convex
 functions a module over (min, +).
 
-The transforms are push and pull over the pairing M(x, k) = k*x: both
-run :func:`nucleus.core.adjoint_arrays` on the raw pairing array.  All
-heavy operations run on float64 arrays in which IEEE infinities encode
-the infinite tags (see :mod:`nucleus.extreal`); results are
-bit-identical to the scalar table arithmetic.
+The transforms are push and pull over the pairing M(x, k) = k*x, and
+both run one kernel with the roles of points and slopes swapped: the
+linear-time Legendre transform (Lucet, Numer. Algorithms 16, 1997).  It
+applies the tag rules, takes the lower hull of the finite samples in
+whole-array passes, binary-searches each slope among the hull's edge
+slopes and evaluates ``k*x - f(x)`` at the vertex found, its two
+neighbours and the two end vertices.  N points against K slopes cost
+O((N + K) log N) time and O(N + K) memory, against O(N*K) for both in
+the brute force of :func:`nucleus.core.adjoint_arrays` on the whole
+pairing.  Infinite tags match the brute force exactly; a finite value
+that the brute force attains only at a near-tie may differ from it by
+rounding, within ``1e-12`` times the scale ``max|k| * max|x| +
+max|f(x)|`` of the inputs (``TRANSFORM_RTOL``).  Inputs where
+``max|k| * max|x|`` or the spread of the finite values times the spread
+of their abscissae leaves the float range go to the brute force, in
+blocks, and come out bit-identical to it.  All heavy operations run on
+float64 arrays in which IEEE infinities encode the infinite tags (see
+:mod:`nucleus.extreal`).
 """
 
 from __future__ import annotations
@@ -24,7 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -59,6 +71,13 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+# Finite transform values agree with the brute force within this multiple
+# of max|k| * max|x| + max|f(x)| (see the module docstring).
+TRANSFORM_RTOL = 1e-12
+# Largest slope grid Grid.from_range builds: about 170 MB as array and tuple.
+MAX_GRID_POINTS = 1 << 22
+# Largest pairing block the brute-force transform materialises.
+_BLOCK_CELLS = 1 << 20
 
 
 class Space(Enum):
@@ -78,25 +97,35 @@ class CheckStatus(Enum):
 
 @dataclass(frozen=True)
 class Grid:
-    """Strictly increasing finite abscissae."""
+    """Strictly increasing finite abscissae, from any sequence or float64 array.
+
+    ``points`` is the tuple view; ``as_array`` is the read-only array the
+    points were checked on.
+    """
 
     points: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        pts = tuple(float(p) for p in self.points)
-        object.__setattr__(self, "points", pts)
-        if not pts:
+        arr = np.array(self.points, dtype=np.float64)
+        if arr.ndim != 1:
+            raise ValueError("grid points must form one sequence")
+        if not arr.size:
             raise ValueError("grid needs at least one point")
-        for p in pts:
-            if not math.isfinite(p):
-                raise ValueError("grid points must be finite")
-        if any(a >= b for a, b in zip(pts, pts[1:])):
+        if not np.isfinite(arr).all():
+            raise ValueError("grid points must be finite")
+        if (arr[1:] <= arr[:-1]).any():
             raise ValueError("grid points must be strictly increasing")
+        arr.setflags(write=False)
+        object.__setattr__(self, "points", tuple(arr.tolist()))
+        object.__setattr__(self, "as_array", arr)
 
     @classmethod
     def from_range(cls, lo: float, hi: float, step: float) -> "Grid":
         """Points lo, lo+step, ... up to hi; hi itself is included when the
-        step divides the range (up to float noise), never overshot."""
+        step divides the range (up to float noise), never overshot.  A range
+        of more than MAX_GRID_POINTS points is refused before it is built."""
+        if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
+            raise ValueError("range bounds and step must be finite")
         if hi < lo:
             raise ValueError("range end below start")
         if lo == hi:
@@ -104,14 +133,10 @@ class Grid:
         if step <= 0:
             raise ValueError("step must be positive")
         q = (hi - lo) / step
+        if not q < MAX_GRID_POINTS:
+            raise ValueError(f"range has about {q:.3g} points, more than {MAX_GRID_POINTS}")
         count = round(q) if abs(q - round(q)) <= 1e-6 else math.floor(q)
-        return cls(tuple(lo + i * step for i in range(count + 1)))
-
-    @cached_property
-    def as_array(self) -> np.ndarray:
-        arr = np.array(self.points, dtype=np.float64)
-        arr.setflags(write=False)
-        return arr
+        return cls(lo + np.arange(count + 1) * step)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -213,24 +238,116 @@ def _require_same_grid(a: SampledFunction, b: SampledFunction) -> None:
         raise SizeMismatchError("functions live on different grids")
 
 
-def _pairing(xs: Grid, ks: Grid) -> np.ndarray:
-    """M(x, k) = k*x, points by slopes; products beyond the float range saturate."""
-    with np.errstate(over="ignore"):
-        return np.multiply.outer(xs.as_array, ks.as_array)
-
-
 def conjugate(f: SampledFunction, dual: Grid) -> SampledFunction:
     """Slope transform, the push along the pairing: at k, max over x of k*x - f(x)."""
     _require_space(f, Space.PRIMAL, "conjugate input")
-    vals = adjoint_arrays(EXT_REAL, _pairing(f.grid, dual), f.values_array, axis=0)
+    vals = _transform(f.grid.as_array, f.values_array, dual.as_array)
     return SampledFunction(dual, vals, Space.DUAL)
 
 
 def reverse_conjugate(g: SampledFunction, primal: Grid) -> SampledFunction:
     """Mirror transform, the pull along the pairing: at x, max over k of k*x - g(k)."""
     _require_space(g, Space.DUAL, "reverse_conjugate input")
-    vals = adjoint_arrays(EXT_REAL, _pairing(primal, g.grid), g.values_array, axis=1)
+    vals = _transform(g.grid.as_array, g.values_array, primal.as_array)
     return SampledFunction(primal, vals, Space.PRIMAL)
+
+
+def _transform(points: np.ndarray, values: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """At each query q, max over i of q*points[i] - values[i] with the
+    saturating subtraction; points and queries strictly increasing.
+
+    The linear-time Legendre transform: only the lower hull of the finite
+    samples can attain the maximum, and the vertex attaining it at q is the
+    one whose incoming and outgoing edge slopes bracket q.
+    """
+    reach = max(-float(points[0]), float(points[-1])) * max(-float(queries[0]), float(queries[-1]))
+    finite = np.isfinite(values)
+    px, pv = points[finite], values[finite]
+    spread_x = float(px[-1]) - float(px[0]) if len(px) else 0.0
+    spread_v = float(pv.max()) - float(pv.min()) if len(pv) else 0.0
+    # Python floats overflow to inf without a warning; the hull's turns stay
+    # below 2 * max(spread_x, 1) * max(spread_v, 1)
+    if not (reach < math.inf and max(spread_x, 1.0) * max(spread_v, 1.0) < 2.0**1021):
+        return _brute_transform(points, values, queries)
+    # every product q*p is finite from here on, so q*p - (-inf) = +inf
+    if (values == -np.inf).any():
+        return np.full(len(queries), np.inf)
+    if not len(px):
+        return np.full(len(queries), -np.inf)
+    # a spread below 1 is scaled up by a power of two, so that products of
+    # small differences do not underflow to a false collinearity
+    vertices = _hull_vertices(np.ldexp(px, _unit_exponent(spread_x)), np.ldexp(pv, _unit_exponent(spread_v)))
+    hx, hv = px[vertices], pv[vertices]
+    with np.errstate(over="ignore"):
+        edges = np.maximum.accumulate(np.diff(hv) / np.diff(hx))
+    found = np.searchsorted(edges, queries)
+    last = len(hx) - 1
+    out = np.full(len(queries), -np.inf)
+    # searchsorted returns 0..last, a vertex; its neighbours are clipped to the ends
+    for at in (np.maximum(found - 1, 0), found, np.minimum(found + 1, last), 0, last):
+        np.maximum(out, ext.sub_arrays(queries * hx[at], hv[at]), out=out)
+    return out
+
+
+def _unit_exponent(spread: float) -> int:
+    """The power of two that brings a spread in (0, 1) into [0.5, 1); 0 otherwise."""
+    return -math.frexp(spread)[1] if 0 < spread < 1 else 0
+
+
+def _brute_transform(points: np.ndarray, values: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """The transform as the push of :func:`nucleus.core.adjoint_arrays` along
+    the whole pairing, in blocks of queries; products beyond the float range
+    saturate."""
+    step = max(1, _BLOCK_CELLS // len(points))
+    blocks = []
+    for s in range(0, len(queries), step):
+        with np.errstate(over="ignore"):
+            pairing = np.multiply.outer(points, queries[s : s + step])
+        blocks.append(adjoint_arrays(EXT_REAL, pairing, values, axis=0))
+    return np.concatenate(blocks)
+
+
+# A peeling pass over n points costs about as much as 32 + n/32 steps of the
+# monotone chain (numpy 2.4, x86-64); a pass that drops fewer points than
+# that has not paid for itself.
+_PASS_FIXED_COST = 32
+_PASS_POINT_COST = 1 / 32
+
+
+def _hull_vertices(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Indices of the lower hull's vertices, for points sorted by x.
+
+    Each pass drops, all at once, every point that lies on or above the
+    chord of its two neighbours; no hull vertex ever does.  Once a pass
+    drops too few points to pay for itself (a long convex run being eaten
+    one point per pass from a far vertex), a monotone chain finishes the
+    survivors; it is written out here so that the hull oracle's own chain
+    stays independent of the kernel.
+    """
+    keep = np.arange(len(x))
+    while len(keep) > 2:
+        hx, hy = x[keep], y[keep]
+        ax, ay = hx[:-2], hy[:-2]
+        turn = (hx[1:-1] - ax) * (hy[2:] - ay) - (hy[1:-1] - ay) * (hx[2:] - ax)
+        vertex = turn > 0
+        dropped = len(vertex) - int(np.count_nonzero(vertex))
+        if not dropped:
+            return keep
+        keep = keep[np.concatenate(([True], vertex, [True]))]
+        if dropped < _PASS_FIXED_COST + len(keep) * _PASS_POINT_COST:
+            break
+    else:
+        return keep
+    xs, ys = x[keep].tolist(), y[keep].tolist()
+    chain: list[int] = []
+    for i, (px, py) in enumerate(zip(xs, ys)):
+        while len(chain) >= 2:
+            a, b = chain[-2], chain[-1]
+            if (xs[b] - xs[a]) * (py - ys[a]) - (ys[b] - ys[a]) * (px - xs[a]) > 0:
+                break
+            chain.pop()
+        chain.append(i)
+    return keep[chain]
 
 
 def biconjugate(f: SampledFunction, dual: Grid) -> SampledFunction:
@@ -351,26 +468,37 @@ def convex_hull_oracle(f: SampledFunction) -> SampledFunction:
     out = np.full(len(f), np.inf)
     grid = f.grid.as_array
     span = (grid >= xs[0]) & (grid <= xs[-1])
-    out[span] = np.interp(grid[span], hull_x, hull_y)
+    # interpolate where differences cannot overflow, as the chain does
+    ex, ey = _shrink_exponent(xs), _shrink_exponent(ys)
+    scaled = np.interp(np.ldexp(grid[span], -ex), np.ldexp(hull_x, -ex), np.ldexp(hull_y, -ey))
+    out[span] = np.ldexp(scaled, ey)
     return SampledFunction(f.grid, out, Space.PRIMAL)
+
+
+def _shrink_exponent(coords: np.ndarray) -> int:
+    """The power of two that brings every coordinate to at most 2**509 in
+    magnitude, so that differences and their products stay finite; 0 when
+    they already are."""
+    return max(0, math.frexp(float(np.abs(coords).max()))[1] - 509)
 
 
 def _lower_hull(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Monotone chain over points already sorted by x; keeps the vertices of
-    the lower boundary (counterclockwise turns only)."""
-    hx: list[float] = []
-    hy: list[float] = []
-    for x, y in zip(xs, ys):
-        while len(hx) >= 2:
-            cross = (hx[-1] - hx[-2]) * (y - hy[-2]) - (hy[-1] - hy[-2]) * (x - hx[-2])
+    the lower boundary (counterclockwise turns only).  Turns are taken on the
+    coordinates scaled down by powers of two, so none overflows."""
+    sx = np.ldexp(xs, -_shrink_exponent(xs)).tolist()
+    sy = np.ldexp(ys, -_shrink_exponent(ys)).tolist()
+    chain: list[int] = []
+    for i, (x, y) in enumerate(zip(sx, sy)):
+        while len(chain) >= 2:
+            a, b = chain[-2], chain[-1]
+            cross = (sx[b] - sx[a]) * (y - sy[a]) - (sy[b] - sy[a]) * (x - sx[a])
             if cross <= 0:
-                hx.pop()
-                hy.pop()
+                chain.pop()
             else:
                 break
-        hx.append(float(x))
-        hy.append(float(y))
-    return np.array(hx), np.array(hy)
+        chain.append(i)
+    return xs[chain], ys[chain]
 
 
 def default_dual_grid(f: SampledFunction) -> Grid:
@@ -378,7 +506,8 @@ def default_dual_grid(f: SampledFunction) -> Grid:
 
     Conjugating twice through this grid reproduces the geometric lower
     hull exactly at grid points the hull reaches; a function with fewer
-    than two finite points gets the single slope 0.
+    than two finite points gets the single slope 0.  A quotient beyond the
+    float range is a ValueError.
     """
     _require_space(f, Space.PRIMAL, "dual grid construction")
     vals = f.values_array
@@ -388,8 +517,11 @@ def default_dual_grid(f: SampledFunction) -> Grid:
     xs = f.grid.as_array[finite]
     ys = vals[finite]
     i, j = np.triu_indices(len(xs), k=1)
-    slopes = (ys[j] - ys[i]) / (xs[j] - xs[i])
-    return Grid(tuple(np.unique(slopes)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        slopes = (ys[j] - ys[i]) / (xs[j] - xs[i])
+    if not np.isfinite(slopes).all():
+        raise ValueError("difference quotients of the samples leave the float range")
+    return Grid(np.unique(slopes))
 
 
 def pointwise_sup(

@@ -13,10 +13,17 @@ import pytest
 
 import nucleus
 from nucleus import extreal as ext
-from nucleus.cli import run
+from nucleus.cli import _parse_dual_spec, run
 from nucleus.core import EXT_REAL, Profunctor, render_matrix_csv
 from nucleus.galois import parse_cxt, render_cxt
-from nucleus.legendre import Grid, SampledFunction, Space, parse_function_csv, render_function_csv
+from nucleus.legendre import (
+    Grid,
+    SampledFunction,
+    Space,
+    default_dual_grid,
+    parse_function_csv,
+    render_function_csv,
+)
 
 IDENT2_CXT = "B\n\n2\n2\ng1\ng2\nm1\nm2\nX.\n.X\n"
 WORKED_CXT = "B\n\n3\n2\n1\n2\n3\na\nb\nX.\nXX\n..\n"
@@ -259,6 +266,54 @@ def test_conjugate_beyond_the_float_range_is_silent(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "x,value\n1.7e+308,inf\n"
     assert captured.err == ""
+
+
+def test_hull_near_the_float_range_is_silent(tmp_path, capsys):
+    # the chord from (0, -1e308) to (3, 1.7e308) passes x = 1 at about -1e307;
+    # the differences of the values overflow unless the chain scales them
+    path = write(tmp_path, "f.csv", "x,value\n0.0,-1e308\n1.0,0.0\n3.0,1.7e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["hull", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    hull = parse_function_csv(captured.out)
+    assert hull.grid.points == (0.0, 1.0, 3.0)
+    low, mid, high = hull.values_array
+    assert (low, high) == (-1e308, 1.7e308)
+    assert abs(mid - (-1e308 * (2 / 3) + 1.7e308 / 3)) <= 1e-12 * 1e307
+
+
+def test_dual_auto_beyond_the_float_range_names_the_file(tmp_path, capsys):
+    path = write(tmp_path, "q.csv", "x,value\n0.0,-1e308\n1e-10,1e308\n1.0,0.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["biconjugate", path, "--dual", "auto"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "give --dual lo:hi:step" in err
+        assert run(["biconjugate", path, "--dual", "-1:1:0.5"]) == 0
+
+
+def test_dual_auto_is_the_union_of_the_quotients():
+    f1 = parse_function_csv("x,value\n0.0,0.0\n1.0,1.0\n3.0,0.0\n")
+    f2 = parse_function_csv("x,value\n0.0,2.0\n1.0,inf\n3.0,-1.0\n")
+    want = sorted(set(default_dual_grid(f1).points) | set(default_dual_grid(f2).points))
+    assert want == [-1.0, -0.5, 0.0, 1.0]
+    assert _parse_dual_spec("auto", [("a.csv", f1), ("b.csv", f2)]).points == tuple(want)
+    assert _parse_dual_spec("auto", [("a.csv", f1)]) == default_dual_grid(f1)
+
+
+def test_dual_range_too_large_is_refused(tmp_path, capsys):
+    # 2e12 points: the count is checked before anything is built
+    path = write(tmp_path, "f.csv", "x,value\n0.0,0.0\n")
+    assert run(["conjugate", path, "--dual", "-1e6:1e6:1e-6"]) == 2
+    assert capsys.readouterr().err.startswith("error: --dual -1e6:1e6:1e-6: ")
+
+
+def test_attribute_free_cxt_error_names_the_file(tmp_path, capsys):
+    path = write(tmp_path, "dup.cxt", "B\n\n2\n0\ng\ng\n")
+    assert run(["concepts", path]) == 2
+    assert capsys.readouterr().err == f"error: {path}: object labels must be unique\n"
 
 
 def test_python_dash_m_runs_the_cli():

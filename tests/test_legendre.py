@@ -518,3 +518,28 @@ def test_function_csv_errors():
         parse_function_csv("")
     with pytest.raises(FormatError):
         parse_function_csv("1.0,2.0,3.0\n")
+
+
+def test_grid_from_an_array():
+    arr = np.array([-1.0, 0.5, 2.0])
+    grid = Grid(arr)
+    arr[0] = 9.0
+    assert grid == Grid((-1.0, 0.5, 2.0))
+    assert grid.points == (-1.0, 0.5, 2.0)
+    assert all(type(p) is float for p in grid.points)
+    assert not grid.as_array.flags.writeable
+    assert hash(grid) == hash(Grid((-1.0, 0.5, 2.0)))
+    for bad in (np.array([[0.0, 1.0]]), np.array([0.0, np.nan]), np.array([1.0, 1.0]), np.array([])):
+        with pytest.raises(ValueError):
+            Grid(bad)
+    # the same points as lo + i*step in Python floats
+    assert Grid.from_range(-0.3, 0.7, 0.1).points == tuple(-0.3 + i * 0.1 for i in range(11))
+    for lo, hi, step in ((0.0, 1e6, 1e-6), (math.nan, 1.0, 1.0), (0.0, math.inf, 1.0)):
+        with pytest.raises(ValueError):
+            Grid.from_range(lo, hi, step)
+
+
+def test_default_dual_grid_beyond_the_float_range():
+    f = primal([0.0, 1e-10, 1.0], [-1e308, 1e308, 0.0])
+    with pytest.raises(ValueError, match="float range"):
+        default_dual_grid(f)
