@@ -11,6 +11,7 @@ unreadable or malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -218,7 +219,10 @@ def _cmd_plotdata(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing reads it and
+    leaves it as it was, each run getting a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="nucleus",
         description="Discrete conjugation calculus and concept lattices.",

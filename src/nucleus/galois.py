@@ -3,16 +3,18 @@
 The polars of the relation form a Galois connection between subsets of
 objects and subsets of attributes; the pairs fixed by both closures are
 the concepts.  Subsets are bitmask integers, and one polar kernel serves
-both sides (0 the objects, 1 the attributes).  Lectic-order closure
-stepping visits every closed extent once without touching the powerset;
-a lattice keeps the concepts with their extent masks and builds the
-inclusion order only when read.  Meets intersect extents, joins close
-the union.  A context's CSV form is core's labelled table with 0/1 cells.
+both sides (0 the objects, 1 the attributes), walking only the set bits.
+Lectic-order closure stepping visits every closed extent once without
+touching the powerset; a lattice keeps the concepts with their extent
+masks and the context, builds the inclusion order only when read, and
+takes its covers from each concept's upper neighbours (Lindig, "Fast
+Concept Analysis", 2000).  Meets intersect extents, joins close the
+union.  A context's CSV form is core's labelled table with 0/1 cells.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -110,18 +112,24 @@ class Context:
         return mask
 
     def _labels_of(self, mask: int, side: int) -> tuple[str, ...]:
-        return tuple(label for i, label in enumerate((self.objects, self.attributes)[side]) if mask >> i & 1)
+        # set bits only, lowest first; bits past the last label are ignored
+        labels = (self.objects, self.attributes)[side]
+        mask &= (1 << len(labels)) - 1
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(labels[low.bit_length() - 1])
+            mask ^= low
+        return tuple(out)
 
     def _polar(self, mask: int, side: int) -> int:
         """The members of the other side related to every member of ``mask``."""
-        rows, other = self._masks[side], self._masks[1 - side]
-        out = (1 << len(other)) - 1
-        i = 0
+        rows = self._masks[side]
+        out = (1 << len(self._masks[1 - side])) - 1
         while mask:
-            if mask & 1:
-                out &= rows[i]
-            mask >>= 1
-            i += 1
+            low = mask & -mask
+            out &= rows[low.bit_length() - 1]
+            mask ^= low
         return out
 
     def object_mask(self, labels: Iterable[str]) -> int:
@@ -223,10 +231,12 @@ def _lectic_closed_extents(ctx: Context) -> Iterator[int]:
 class ConceptLattice:
     """All concepts of a context in lectic order, with the extent bitmask of
     each: the first is the bottom, the closure of the empty set, and the
-    last is the top, whose extent holds every object."""
+    last is the top, whose extent holds every object.  The context they
+    were enumerated from is kept for ``covers``."""
 
     concepts: tuple[Concept, ...]
     extent_masks: tuple[int, ...]
+    context: Context = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.concepts)
@@ -249,18 +259,37 @@ class ConceptLattice:
         return self.concepts[0]
 
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Pairs (i, j) with concept j covering concept i: the transitive
-        reduction of the strict order."""
-        o = np.array(self.order, dtype=bool)
-        strict = o & ~np.eye(len(self.concepts), dtype=bool)
-        reduced = strict & ~(strict @ strict)
-        return tuple((int(i), int(j)) for i, j in np.argwhere(reduced))
+        """Pairs (i, j) with concept j covering concept i, sorted.
+
+        Lindig's upper neighbours: for each extent A, every object g outside
+        A gives the candidate extent (B & row_g)', B the intent of A.  The
+        candidate is an upper neighbour unless it holds another object still
+        marked minimal beyond A, in which case g stops being minimal.  O(n |G|)
+        polars in O(n + edges) memory."""
+        ctx = self.context
+        rows = ctx._masks[0]
+        index = {e: i for i, e in enumerate(self.extent_masks)}
+        full = (1 << len(ctx.objects)) - 1
+        edges = []
+        for i, extent in enumerate(self.extent_masks):
+            intent = ctx._polar(extent, 0)
+            minimal = rest = full & ~extent
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                upper = ctx._polar(intent & rows[low.bit_length() - 1], 1)
+                if upper & minimal & ~low:
+                    minimal ^= low
+                else:
+                    edges.append((i, index[upper]))
+        edges.sort()
+        return tuple(edges)
 
 
 def enumerate_concepts(ctx: Context) -> ConceptLattice:
     """Complete concept set in lectic order of the extents."""
     extents = tuple(_lectic_closed_extents(ctx))
-    return ConceptLattice(tuple(_concept_from_extent_mask(ctx, e) for e in extents), extents)
+    return ConceptLattice(tuple(_concept_from_extent_mask(ctx, e) for e in extents), extents, ctx)
 
 
 def _extent_mask(ctx: Context, concept: Concept) -> int:

@@ -74,7 +74,8 @@ DEFAULT_TOL = 1e-9
 # Finite transform values agree with the brute force within this multiple
 # of max|k| * max|x| + max|f(x)| (see the module docstring).
 TRANSFORM_RTOL = 1e-12
-# Largest slope grid Grid.from_range builds: about 170 MB as array and tuple.
+# Largest slope grid Grid.from_range builds, about 170 MB as array and tuple,
+# and most sample pairs default_dual_grid takes quotients of.
 MAX_GRID_POINTS = 1 << 22
 # Largest pairing block the brute-force transform materialises.
 _BLOCK_CELLS = 1 << 20
@@ -506,17 +507,24 @@ def default_dual_grid(f: SampledFunction) -> Grid:
 
     Conjugating twice through this grid reproduces the geometric lower
     hull exactly at grid points the hull reaches; a function with fewer
-    than two finite points gets the single slope 0.  A quotient beyond the
-    float range is a ValueError.
+    than two finite points gets the single slope 0.  More than
+    MAX_GRID_POINTS pairs, refused before any is built, or a quotient
+    beyond the float range is a ValueError.
     """
     _require_space(f, Space.PRIMAL, "dual grid construction")
     vals = f.values_array
     finite = np.isfinite(vals)
-    if finite.sum() < 2:
+    n = int(finite.sum())
+    if n < 2:
         return Grid((0.0,))
+    pairs = n * (n - 1) // 2
+    if pairs > MAX_GRID_POINTS:
+        raise ValueError(
+            f"{n} finite samples give {pairs} difference quotients, more than {MAX_GRID_POINTS}"
+        )
     xs = f.grid.as_array[finite]
     ys = vals[finite]
-    i, j = np.triu_indices(len(xs), k=1)
+    i, j = np.triu_indices(n, k=1)
     with np.errstate(over="ignore", invalid="ignore"):
         slopes = (ys[j] - ys[i]) / (xs[j] - xs[i])
     if not np.isfinite(slopes).all():

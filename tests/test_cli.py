@@ -13,10 +13,11 @@ import pytest
 
 import nucleus
 from nucleus import extreal as ext
-from nucleus.cli import _parse_dual_spec, run
+from nucleus.cli import _parse_dual_spec, build_parser, run
 from nucleus.core import EXT_REAL, Profunctor, render_matrix_csv
 from nucleus.galois import parse_cxt, render_cxt
 from nucleus.legendre import (
+    MAX_GRID_POINTS,
     Grid,
     SampledFunction,
     Space,
@@ -308,6 +309,42 @@ def test_dual_range_too_large_is_refused(tmp_path, capsys):
     path = write(tmp_path, "f.csv", "x,value\n0.0,0.0\n")
     assert run(["conjugate", path, "--dual", "-1e6:1e6:1e-6"]) == 2
     assert capsys.readouterr().err.startswith("error: --dual -1e6:1e6:1e-6: ")
+
+
+def test_dual_auto_over_the_pair_cap_names_the_file(tmp_path, capsys):
+    # the fewest finite samples whose pairs exceed the cap
+    n = 2897
+    assert n * (n - 1) // 2 > MAX_GRID_POINTS >= (n - 1) * (n - 2) // 2
+    path = write(tmp_path, "big.csv", csv_of(range(n), lambda x: x * x))
+    assert run(["biconjugate", path, "--dual", "auto"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {path}: {n} finite samples give {n * (n - 1) // 2} difference quotients, "
+        f"more than {MAX_GRID_POINTS}; give --dual lo:hi:step\n"
+    )
+    assert run(["biconjugate", path, "--dual", "-1:1:0.5", "--out", str(tmp_path / "o.csv")]) == 0
+
+
+def test_shared_parser_carries_nothing_between_runs(tmp_path, capsys, fig_pair):
+    parser = build_parser()
+    assert build_parser() is parser
+    f1, f2 = fig_pair
+    out = tmp_path / "short.json"
+    argv = ["check", "short", f1, f2, "--dual", "-1:1:0.25", "--tol", "0.5", "--json", "--out", str(out)]
+    assert run(argv) == 0
+    assert json.loads(out.read_text())["tolerance"] == 0.5
+    # a usage error between the runs: --dual given no value
+    assert run(["conjugate", f1, "--dual"]) == 2
+    assert "expected one argument" in capsys.readouterr().err
+    # another verb, then the first one with every option left at its default
+    assert run(["tables"]) == 0
+    assert capsys.readouterr().out.startswith("x + y\t-inf")
+    assert run(["check", "short", f1, f2, "--dual", "-1:1:0.25"]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("lhs 1.0\n") and "tolerance 1e-09\n" in text
+    fresh = build_parser.__wrapped__()
+    for bare in (["check", "short", "a", "b"], ["tables"], ["conjugate", "a", "--dual", "auto"]):
+        assert parser.parse_args(bare) == fresh.parse_args(bare)
 
 
 def test_attribute_free_cxt_error_names_the_file(tmp_path, capsys):

@@ -4,7 +4,9 @@ The oracles are the earlier dense formulations: the inclusion order
 from extents as label sets, ``top`` and ``bottom`` as O(n^2) scans of
 that order, and ``covers`` as the transitive reduction of the dense
 order matrix.  The lattice must agree with them exactly on random
-contexts, including ones without objects or without attributes.
+contexts, including ones without objects or without attributes and
+ones whose masks span several machine words.  The set-bit polar and
+label kernels are checked against the per-bit loops they replaced.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 from nucleus.core import FormatError, parse_matrix_csv
-from nucleus.galois import Context, enumerate_concepts, parse_context_csv, render_context_csv
+from nucleus.galois import Context, enumerate_concepts, export_dot, parse_context_csv, render_context_csv
 
 
 def oracle_order(lat):
@@ -40,8 +42,38 @@ def oracle_covers(order):
     return tuple((int(i), int(j)) for i, j in np.argwhere(reduced))
 
 
-def random_context(rng, n, m):
-    density = rng.uniform(0.2, 0.8)
+def oracle_dot(lat, covers):
+    """The DOT text of a Hasse diagram with the given edges."""
+    lines = ["digraph concepts {", "  rankdir=BT;", "  node [shape=box];"]
+    for i, c in enumerate(lat.concepts):
+        label = "{%s} / {%s}" % (", ".join(c.extent), ", ".join(c.intent))
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  c{i} [label="{label}"];')
+    lines.extend(f"  c{i} -> c{j};" for i, j in covers)
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def oracle_polar(ctx, mask, side):
+    """The per-bit polar: every bit position up to the highest set bit."""
+    n, m = len(ctx.objects), len(ctx.attributes)
+    rows = [ctx.incidence, [[ctx.incidence[g][j] for g in range(n)] for j in range(m)]][side]
+    width = (m, n)[side]
+    out = (1 << width) - 1
+    i = 0
+    while mask:
+        if mask & 1:
+            out &= sum(1 << j for j, cell in enumerate(rows[i]) if cell)
+        mask >>= 1
+        i += 1
+    return out
+
+
+def oracle_labels(ctx, mask, side):
+    return tuple(label for i, label in enumerate((ctx.objects, ctx.attributes)[side]) if mask >> i & 1)
+
+
+def random_context(rng, n, m, density=None):
+    density = rng.uniform(0.2, 0.8) if density is None else density
     return Context(
         tuple(f"g{i}" for i in range(n)),
         tuple(f"m{j}" for j in range(m)),
@@ -73,7 +105,56 @@ def test_order_is_built_only_when_read():
     assert "order" not in vars(lat)
     assert lat.top.extent == ctx.objects and lat.bottom == lat.concepts[0]
     lat.covers()
-    assert "order" in vars(lat)
+    assert "order" not in vars(lat)
+
+
+def large_contexts():
+    """Lattices of 150-400 concepts, one with more than 64 objects (masks
+    of several machine words), and the object-free and attribute-free
+    contexts."""
+    rng = random.Random(29)
+    for n, m, density in ((20, 14, 0.45), (24, 12, 0.5), (30, 10, 0.6), (130, 9, 0.5)):
+        yield random_context(rng, n, m, density)
+    yield random_context(rng, 0, 5)
+    yield random_context(rng, 5, 0)
+
+
+def test_covers_match_the_dense_oracle_on_large_contexts():
+    sizes = []
+    for ctx in large_contexts():
+        lat = enumerate_concepts(ctx)
+        want = oracle_covers(oracle_order(lat))
+        assert lat.covers() == want
+        assert export_dot(lat) == oracle_dot(lat, want)
+        sizes.append((len(ctx.objects), len(lat)))
+    assert all(150 <= c <= 400 for _, c in sizes[:4]) and sizes[3][0] > 64
+    assert sizes[4:] == [(0, 1), (5, 1)]
+
+
+def test_export_dot_matches_the_oracle_on_every_context():
+    quoted = Context(('say "hi"', "back\\slash", "g"), ("m", 'q"'), ((1, 0), (1, 1), (0, 1)))
+    for ctx in (quoted, *contexts()):
+        lat = enumerate_concepts(ctx)
+        assert export_dot(lat) == oracle_dot(lat, oracle_covers(oracle_order(lat)))
+
+
+def test_set_bit_kernels_match_the_per_bit_loops():
+    rng = random.Random(31)
+    for n, m in ((0, 0), (1, 1), (3, 70), (70, 3), (65, 64), (130, 129)):
+        ctx = random_context(rng, n, m)
+        for side, width in ((0, n), (1, m)):
+            full = (1 << width) - 1
+            masks = {0, full}
+            if width:
+                top = 1 << width - 1
+                masks |= {1, top, 1 | top, full ^ 1, full ^ top}
+                masks |= {rng.getrandbits(width) for _ in range(20)}
+            for mask in masks:
+                assert ctx._polar(mask, side) == oracle_polar(ctx, mask, side)
+                assert ctx._labels_of(mask, side) == oracle_labels(ctx, mask, side)
+                # bits past the last label name nothing
+                stray = mask | 1 << width + 3
+                assert ctx._labels_of(stray, side) == oracle_labels(ctx, stray, side)
 
 
 @pytest.mark.parametrize(

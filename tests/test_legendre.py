@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from nucleus import extreal as ext
+from nucleus import legendre
 from nucleus.core import FormatError, LimitKind, SizeMismatchError
 from nucleus.extreal import NEG_INF, POS_INF, ZERO
 from nucleus.legendre import (
@@ -543,3 +545,45 @@ def test_default_dual_grid_beyond_the_float_range():
     f = primal([0.0, 1e-10, 1.0], [-1e308, 1e308, 0.0])
     with pytest.raises(ValueError, match="float range"):
         default_dual_grid(f)
+
+
+def _all_quotients(f):
+    """The auto grid as built before the pair cap: every quotient, deduplicated."""
+    finite = np.isfinite(f.values_array)
+    xs, ys = f.grid.as_array[finite], f.values_array[finite]
+    i, j = np.triu_indices(len(xs), k=1)
+    return np.unique((ys[j] - ys[i]) / (xs[j] - xs[i]))
+
+
+def test_default_dual_grid_below_the_pair_cap_is_unchanged():
+    rng = np.random.default_rng(4)
+    for n in (2, 3, 17, 200):
+        xs = np.sort(rng.choice(np.arange(-500, 500) / 4, size=n, replace=False))
+        vals = np.where(rng.random(n) < 0.2, np.inf, rng.normal(size=n) * 10)
+        vals[:2] = (0.0, 1.5)
+        f = primal(xs, vals)
+        got = default_dual_grid(f).as_array
+        assert got.tobytes() == _all_quotients(f).tobytes()
+
+
+def test_default_dual_grid_refuses_pairs_over_the_cap(monkeypatch):
+    # infinite samples do not count: 5 finite samples are 10 pairs, 6 are 15
+    monkeypatch.setattr(legendre, "MAX_GRID_POINTS", 10)
+    five = primal(range(7), [0.0, 1.0, np.inf, 4.0, 9.0, 16.0, np.inf])
+    assert default_dual_grid(five).as_array.tobytes() == _all_quotients(five).tobytes()
+    with pytest.raises(ValueError, match="^6 finite samples give 15 difference quotients, more than 10$"):
+        default_dual_grid(primal(range(6), [float(x * x) for x in range(6)]))
+
+
+def test_default_dual_grid_refuses_before_allocating():
+    # 4000 samples are about 8M pairs: the quotients alone would take 64 MB
+    n = 4000
+    f = primal(np.arange(n) / n, np.sin(np.arange(n)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="more than"):
+            default_dual_grid(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
