@@ -42,36 +42,19 @@ from .legendre import (
 __all__ = ["build_parser", "run", "main"]
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text()
-
-
-def _attach_source(err: FormatError, path: str) -> FormatError:
-    err.source = path
-    return err
-
-
-def _load_function(path: str, space: Space) -> SampledFunction:
+def _load(path: str, parse):
+    """``parse`` applied to the file's text, a FormatError naming the file."""
+    text = Path(path).read_text()
     try:
-        return parse_function_csv(_read_text(path), space)
+        return parse(text)
     except FormatError as e:
-        raise _attach_source(e, path)
+        e.source = path
+        raise
 
 
-def _load_context(path: str):
-    text = _read_text(path)
+def _parse_context(text: str):
     first = next((ln.strip() for ln in text.splitlines() if ln.strip()), "")
-    try:
-        return parse_cxt(text) if first == "B" else parse_context_csv(text)
-    except FormatError as e:
-        raise _attach_source(e, path)
-
-
-def _load_matrix(path: str):
-    try:
-        return parse_matrix_csv(_read_text(path))
-    except FormatError as e:
-        raise _attach_source(e, path)
+    return parse_cxt(text) if first == "B" else parse_context_csv(text)
 
 
 def _parse_dual_spec(spec: str, inputs: list[tuple[str, SampledFunction]]) -> Grid:
@@ -108,7 +91,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _check_tol(tol: float) -> float:
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tolerance must be nonnegative")
     return tol
 
@@ -127,28 +110,28 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 
 def _cmd_conjugate(args: argparse.Namespace) -> int:
-    f = _load_function(args.input, Space.PRIMAL)
+    f = _load(args.input, parse_function_csv)
     dual = _parse_dual_spec(args.dual, [(args.input, f)])
     _emit(render_function_csv(conjugate(f, dual)), args.out)
     return 0
 
 
 def _cmd_biconjugate(args: argparse.Namespace) -> int:
-    f = _load_function(args.input, Space.PRIMAL)
+    f = _load(args.input, parse_function_csv)
     dual = _parse_dual_spec(args.dual, [(args.input, f)])
     _emit(render_function_csv(biconjugate(f, dual)), args.out)
     return 0
 
 
 def _cmd_hull(args: argparse.Namespace) -> int:
-    f = _load_function(args.input, Space.PRIMAL)
+    f = _load(args.input, parse_function_csv)
     _emit(render_function_csv(convex_hull_oracle(f)), args.out)
     return 0
 
 
 def _cmd_distance(args: argparse.Namespace) -> int:
-    f1 = _load_function(args.first, Space.PRIMAL)
-    f2 = _load_function(args.second, Space.PRIMAL)
+    f1 = _load(args.first, parse_function_csv)
+    f2 = _load(args.second, parse_function_csv)
     climb = climb_distance(f1, f2)
     # the same samples read as functions of slope
     g1, g2 = (SampledFunction(f.grid, f.values_array, Space.DUAL) for f in (f1, f2))
@@ -160,13 +143,13 @@ def _cmd_distance(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     tol = _check_tol(args.tol)
     if args.kind == "adjunction":
-        f = _load_function(args.first, Space.PRIMAL)
-        g = _load_function(args.second, Space.DUAL)
+        f = _load(args.first, parse_function_csv)
+        g = _load(args.second, lambda text: parse_function_csv(text, Space.DUAL))
         dual = _parse_dual_spec(args.dual, [(args.first, f)]) if args.dual else None
         report = check_lf_adjunction(f, g, dual=dual, tol=tol)
     else:
-        f1 = _load_function(args.first, Space.PRIMAL)
-        f2 = _load_function(args.second, Space.PRIMAL)
+        f1 = _load(args.first, parse_function_csv)
+        f2 = _load(args.second, parse_function_csv)
         if not args.dual:
             raise ValueError(f"check {args.kind} needs --dual")
         dual = _parse_dual_spec(args.dual, [(args.first, f1), (args.second, f2)])
@@ -184,30 +167,30 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_concepts(args: argparse.Namespace) -> int:
-    lattice = enumerate_concepts(_load_context(args.input))
+    lattice = enumerate_concepts(_load(args.input, _parse_context))
     _emit("".join(f"{c}\n" for c in lattice.concepts), args.out)
     return 0
 
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
-    lattice = enumerate_concepts(_load_context(args.input))
+    lattice = enumerate_concepts(_load(args.input, _parse_context))
     _emit(export_dot(lattice), args.out)
     return 0
 
 
 def _cmd_compose(args: argparse.Namespace) -> int:
-    rows_a, cols_a, first = _load_matrix(args.first)
-    rows_b, cols_b, second = _load_matrix(args.second)
+    rows_a, cols_a, first = _load(args.first, parse_matrix_csv)
+    rows_b, cols_b, second = _load(args.second, parse_matrix_csv)
     composed = compose_profunctors(first, second)
     _emit(render_matrix_csv(rows_a, cols_b, composed), args.out)
     return 0
 
 
 def _cmd_plotdata(args: argparse.Namespace) -> int:
-    f = _load_function(args.input, Space.PRIMAL)
+    f = _load(args.input, parse_function_csv)
     lines = []
     omitted = []
-    for x, v in zip(f.grid.points, f.values_array.tolist()):
+    for x, v in zip(f.grid.as_array.tolist(), f.values_array.tolist()):
         if math.isfinite(v):
             lines.append(f"{x!r}\t{ext.render_float(v)}")
         else:

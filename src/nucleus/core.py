@@ -303,7 +303,7 @@ def is_fixed(profunctor: Profunctor, vector: PresheafVector, tol: float | None =
     """
     if tol is None:
         tol = profunctor.quantale.default_fixed_tol
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tolerance must be nonnegative")
     return _vectors_approx_equal(closure(profunctor, vector), vector, tol)
 
@@ -540,8 +540,10 @@ def render_labelled_csv(row_labels: Sequence[str], col_labels: Sequence[str], ro
 
 
 def parse_matrix_csv(text: str) -> tuple[tuple[str, ...], tuple[str, ...], Profunctor]:
-    row_labels, col_labels, rows = parse_labelled_csv(text, "matrix", ext.parse, nonempty=True)
-    return row_labels, col_labels, Profunctor(rows, EXT_REAL)
+    row_labels, col_labels, rows = parse_labelled_csv(
+        text, "matrix", lambda token: ext.parse(token).to_float(), nonempty=True
+    )
+    return row_labels, col_labels, Profunctor(np.array(rows, dtype=np.float64), EXT_REAL)
 
 
 def render_matrix_csv(

@@ -4,10 +4,13 @@ The infinities follow saturation rules that keep every operation total:
 ``+inf`` dominates addition, so ``(+inf) + (-inf) = +inf``, while
 subtracting ``+inf`` always yields ``-inf``, so ``(+inf) - (+inf) = -inf``.
 (Subtraction here is the residuation of addition, ``c - b = inf {a : a + b >= c}``,
-which is why it is not the mirror image of addition.)  IEEE-754 would
-produce NaN in those corners, so values are kept as a tag plus a finite
-payload and never as raw floats.  Finite payloads are ordinary doubles;
-overflow of finite arithmetic saturates to the matching infinity.
+which is why it is not the mirror image of addition.)  A value is one
+float64 cell in which IEEE ``+inf`` and ``-inf`` stand for the two
+infinities; NaN is never a value.  IEEE arithmetic on cells agrees with
+the tables everywhere except the two corners where it gives NaN, which
+are patched, and overflow of finite arithmetic saturates to the matching
+infinity.  ``ExtReal`` is a view of one cell for the API and the text
+forms; the kernels work on arrays of cells.
 """
 
 from __future__ import annotations
@@ -51,30 +54,39 @@ class Tag(IntEnum):
     POS_INF = 1
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, order=True, slots=True, init=False, repr=False)
 class ExtReal:
-    """Tagged extended real.  The (tag, value) field order makes the
-    dataclass ordering coincide with the numeric total order."""
+    """Extended real, held as its float64 cell; ``tag`` and ``value`` are
+    views of the cell, so the order, equality and hash are the cell's."""
 
-    tag: Tag
-    value: float = 0.0
+    _cell: float
 
-    def __post_init__(self) -> None:
-        if self.tag is Tag.FINITE:
-            v = float(self.value)
-            if not math.isfinite(v):
-                raise ValueError(f"finite value required, got {v!r}")
-            object.__setattr__(self, "value", v)
+    def __init__(self, tag: Tag, value: float = 0.0) -> None:
+        tag = Tag(tag)
+        if tag is Tag.FINITE:
+            cell = float(value)
+            if not math.isfinite(cell):
+                raise ValueError(f"finite value required, got {cell!r}")
         else:
-            object.__setattr__(self, "value", 0.0)
+            cell = tag * math.inf
+        object.__setattr__(self, "_cell", cell)
+
+    @property
+    def tag(self) -> Tag:
+        c = self._cell
+        return Tag.FINITE if math.isfinite(c) else Tag.POS_INF if c > 0 else Tag.NEG_INF
+
+    @property
+    def value(self) -> float:
+        c = self._cell
+        return c if math.isfinite(c) else 0.0
 
     @property
     def is_finite(self) -> bool:
-        return self.tag is Tag.FINITE
+        return math.isfinite(self._cell)
 
     def to_float(self) -> float:
-        # infinite tags are +/-1, FINITE is 0: no Enum lookups in this per-cell call
-        return self.tag * math.inf if self.tag else self.value
+        return self._cell
 
     def __repr__(self) -> str:
         return f"ExtReal({render(self)})"
@@ -96,21 +108,16 @@ def finite(x: float) -> ExtReal:
 def from_float(x: float) -> ExtReal:
     if math.isnan(x):
         raise ValueError("NaN has no extended-real meaning")
-    if x == math.inf:
-        return POS_INF
-    if x == -math.inf:
-        return NEG_INF
+    out = object.__new__(ExtReal)
     # canonical zero keeps fold results and rendering deterministic
-    return ExtReal(Tag.FINITE, x if x else 0.0)
+    object.__setattr__(out, "_cell", float(x) + 0.0)
+    return out
 
 
 def add(a: ExtReal, b: ExtReal) -> ExtReal:
     """Saturating addition: +inf wins over -inf."""
-    if a.tag is Tag.POS_INF or b.tag is Tag.POS_INF:
-        return POS_INF
-    if a.tag is Tag.NEG_INF or b.tag is Tag.NEG_INF:
-        return NEG_INF
-    return finite(a.value + b.value)
+    s = a._cell + b._cell
+    return from_float(math.inf if s != s else s)
 
 
 def sub(c: ExtReal, b: ExtReal) -> ExtReal:
@@ -119,13 +126,8 @@ def sub(c: ExtReal, b: ExtReal) -> ExtReal:
     Subtracting +inf gives -inf regardless of ``c``; subtracting -inf
     gives +inf unless ``c`` is itself -inf.
     """
-    if b.tag is Tag.POS_INF:
-        return NEG_INF
-    if b.tag is Tag.NEG_INF:
-        return NEG_INF if c.tag is Tag.NEG_INF else POS_INF
-    if c.tag is not Tag.FINITE:
-        return c
-    return finite(c.value - b.value)
+    d = c._cell - b._cell
+    return from_float(-math.inf if d != d else d)
 
 
 def compare(a: ExtReal, b: ExtReal) -> int:
@@ -147,25 +149,23 @@ def fold_sup(xs: Iterable[ExtReal]) -> ExtReal:
 
 def approx_equal(a: ExtReal, b: ExtReal, tol: float) -> bool:
     """Equality with absolute tolerance on finite values; tags are exact."""
-    if a.tag is not b.tag:
-        return False
-    if a.tag is not Tag.FINITE:
-        return True
-    return abs(a.value - b.value) <= tol
+    x, y = a._cell, b._cell
+    if math.isfinite(x) and math.isfinite(y):
+        return abs(x - y) <= tol
+    return x == y
 
 
 def geq_within(a: ExtReal, b: ExtReal, tol: float) -> bool:
     """a >= b, allowing ``tol`` of slack between finite values."""
-    if a.tag is Tag.POS_INF or b.tag is Tag.NEG_INF:
-        return True
-    if a.tag is Tag.NEG_INF or b.tag is Tag.POS_INF:
-        return False
-    return a.value >= b.value - tol
+    x, y = a._cell, b._cell
+    if math.isfinite(x) and math.isfinite(y):
+        return x >= y - tol
+    return x >= y
 
 
 def render(x: ExtReal) -> str:
     """Shortest round-trip text: ``inf``, ``-inf`` or a decimal literal."""
-    return render_float(x.to_float())
+    return render_float(x._cell)
 
 
 def render_float(v: float) -> str:
@@ -173,36 +173,34 @@ def render_float(v: float) -> str:
     return float.__repr__(v)
 
 
+def _real(token: str) -> float:
+    """``float(token)``, refusing the digit-group underscores that ``float``
+    would read (``1_0`` as 10.0) with a ValueError."""
+    if "_" in token:
+        raise ValueError(f"digit-group underscore in {token!r}")
+    return float(token)
+
+
 def parse(token: str) -> ExtReal:
-    t = token.strip().lower()
-    if t in ("inf", "+inf"):
-        return POS_INF
-    if t == "-inf":
-        return NEG_INF
+    """The value a token spells, read as Python's ``float`` reads it: any
+    case and surrounding whitespace, ``inf``, ``+inf``, ``-inf`` and
+    ``infinity``, and literals beyond the float range (``1e400``) as the
+    matching infinity.  NaN and digit-group underscores are refused."""
     try:
-        v = float(t)
+        return from_float(_real(token))
     except ValueError:
         raise ValueError(f"not an extended real: {token!r}") from None
-    if math.isnan(v):
-        raise ValueError(f"not an extended real: {token!r}")
-    return from_float(v)
 
 
 # ---------------------------------------------------------------------------
-# Array bridge.  Vectors of ExtReal are encoded as float64 arrays in which
-# IEEE +/-inf stand for the infinite tags; NaN never appears in a valid
-# encoding.  On such arrays IEEE arithmetic agrees with the saturation
-# tables everywhere except the two NaN corners, which get patched.
+# Array bridge: vectors of values are float64 arrays of their cells.
 
 def to_array(values: Iterable[ExtReal]) -> np.ndarray:
     return np.array([v.to_float() for v in values], dtype=np.float64)
 
 
 def from_array(arr: np.ndarray) -> tuple[ExtReal, ...]:
-    a = np.asarray(arr, dtype=np.float64)
-    if np.isnan(a).any():
-        raise ValueError("NaN has no extended-real meaning")
-    return tuple(from_float(float(v)) for v in a.ravel())
+    return tuple(map(from_float, np.asarray(arr, dtype=np.float64).ravel().tolist()))
 
 
 def add_arrays(x: np.ndarray, y: np.ndarray) -> np.ndarray:

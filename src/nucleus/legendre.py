@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -74,8 +75,8 @@ DEFAULT_TOL = 1e-9
 # Finite transform values agree with the brute force within this multiple
 # of max|k| * max|x| + max|f(x)| (see the module docstring).
 TRANSFORM_RTOL = 1e-12
-# Largest slope grid Grid.from_range builds, about 170 MB as array and tuple,
-# and most sample pairs default_dual_grid takes quotients of.
+# Largest slope grid Grid.from_range builds, 32 MB as an array, and most
+# sample pairs default_dual_grid takes quotients of.
 MAX_GRID_POINTS = 1 << 22
 # Largest pairing block the brute-force transform materialises.
 _BLOCK_CELLS = 1 << 20
@@ -96,18 +97,19 @@ class CheckStatus(Enum):
     HYPOTHESIS_NOT_MET = "HYPOTHESIS_NOT_MET"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Grid:
     """Strictly increasing finite abscissae, from any sequence or float64 array.
 
-    ``points`` is the tuple view; ``as_array`` is the read-only array the
-    points were checked on.
+    ``as_array`` is the read-only array the points were checked on;
+    ``points`` is its tuple view, built when first read.
     """
 
-    points: tuple[float, ...]
+    def __init__(self, points: Sequence[float] | np.ndarray) -> None:
+        self.__post_init__(points)  # the checks, under the name perfbench's tracer wraps
 
-    def __post_init__(self) -> None:
-        arr = np.array(self.points, dtype=np.float64)
+    def __post_init__(self, points) -> None:
+        arr = np.array(points, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError("grid points must form one sequence")
         if not arr.size:
@@ -117,8 +119,11 @@ class Grid:
         if (arr[1:] <= arr[:-1]).any():
             raise ValueError("grid points must be strictly increasing")
         arr.setflags(write=False)
-        object.__setattr__(self, "points", tuple(arr.tolist()))
         object.__setattr__(self, "as_array", arr)
+
+    @cached_property
+    def points(self) -> tuple[float, ...]:
+        return tuple(self.as_array.tolist())
 
     @classmethod
     def from_range(cls, lo: float, hi: float, step: float) -> "Grid":
@@ -140,7 +145,17 @@ class Grid:
         return cls(lo + np.arange(count + 1) * step)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.as_array)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Grid) and np.array_equal(self.as_array, other.as_array)
+
+    def __hash__(self) -> int:
+        # adding 0.0 turns -0.0 into 0.0, which compares equal to it
+        return hash((self.as_array + 0.0).tobytes())
+
+    def __repr__(self) -> str:
+        return f"Grid(points={self.points!r})"
 
 
 class SampledFunction:
@@ -603,7 +618,7 @@ def cvx_scale(kind: LimitKind, a: ExtReal, f: SampledFunction) -> SampledFunctio
 # abscissae are rejected.
 
 def parse_function_csv(text: str, space: Space = Space.PRIMAL) -> SampledFunction:
-    rows: list[tuple[float, ExtReal, int]] = []
+    rows: list[tuple[float, float, int]] = []
     seen_content = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -617,7 +632,7 @@ def parse_function_csv(text: str, space: Space = Space.PRIMAL) -> SampledFunctio
         if len(cells) != 2:
             raise FormatError(f"expected 2 cells, found {len(cells)}", line=lineno)
         try:
-            x = float(cells[0])
+            x = ext._real(cells[0])
         except ValueError:
             raise FormatError(f"bad abscissa {cells[0]!r}", line=lineno, field="x") from None
         if not math.isfinite(x):
@@ -626,17 +641,18 @@ def parse_function_csv(text: str, space: Space = Space.PRIMAL) -> SampledFunctio
             v = ext.parse(cells[1])
         except ValueError as e:
             raise FormatError(str(e), line=lineno, field="value") from None
-        rows.append((x, v, lineno))
+        rows.append((x, v.to_float(), lineno))
     if not rows:
         raise FormatError("function file has no samples")
-    rows.sort(key=lambda r: r[0])
-    for (x1, _, _), (x2, _, ln) in zip(rows, rows[1:]):
-        if x1 == x2:
-            raise FormatError(f"duplicate abscissa {x2!r}", line=ln, field="x")
-    grid = Grid(tuple(x for x, _, _ in rows))
-    return SampledFunction(grid, tuple(v for _, v, _ in rows), space)
+    table = np.array(rows)
+    table = table[np.argsort(table[:, 0], kind="stable")]
+    dup = np.flatnonzero(table[1:, 0] == table[:-1, 0])
+    if dup.size:
+        x2, _, ln = table[dup[0] + 1].tolist()
+        raise FormatError(f"duplicate abscissa {x2!r}", line=int(ln), field="x")
+    return SampledFunction(Grid(table[:, 0]), table[:, 1], space)
 
 
 def render_function_csv(f: SampledFunction) -> str:
     cells = map(ext.render_float, f.values_array.tolist())
-    return "x,value\n" + "".join(f"{x!r},{v}\n" for x, v in zip(f.grid.points, cells))
+    return "x,value\n" + "".join(f"{x!r},{v}\n" for x, v in zip(f.grid.as_array.tolist(), cells))

@@ -363,3 +363,26 @@ def test_python_dash_m_runs_the_cli():
     tables = module_run("tables")
     assert tables.returncode == 0 and tables.stdout.startswith("x + y\t-inf")
     assert module_run("conjugate").returncode == 2
+
+
+def test_nan_tolerance_exits_two(tmp_path, capsys):
+    f = write(tmp_path, "f.csv", "x,value\n-1.0,1.0\n1.0,1.0\n")
+    g = write(tmp_path, "g.csv", "x,value\n0.0,-1.0\n")
+    for argv in (["check", "adjunction", f, g], ["check", "short", f, f, "--dual", "0:1:0.5"]):
+        assert run([*argv, "--tol", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: tolerance must be nonnegative\n"
+    assert run(["check", "adjunction", f, g, "--tol", "inf"]) == 0
+
+
+def test_underscore_tokens_exit_two_naming_file_line_and_field(tmp_path, capsys):
+    f = write(tmp_path, "f.csv", "x,value\n0.0,1_0\n")
+    x = write(tmp_path, "x.csv", "x,value\n1_0,0.0\n")
+    m = write(tmp_path, "m.csv", ",a\nr,2_5\n")
+    for argv, want in (
+        (["hull", f], f"error: {f}: line 2, field 'value': not an extended real: '1_0'\n"),
+        (["plotdata", x], f"error: {x}: line 2, field 'x': bad abscissa '1_0'\n"),
+        (["compose", m, m], f"error: {m}: line 2, field 'a': not an extended real: '2_5'\n"),
+    ):
+        assert run(argv) == 2
+        assert capsys.readouterr().err == want

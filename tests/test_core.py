@@ -418,3 +418,9 @@ def test_matrix_csv_errors():
     assert "line 2" in str(e.value) and "c1" in str(e.value)
     with pytest.raises(FormatError):
         parse_matrix_csv(",c1\nr1,1.0,2.0\n")
+
+
+def test_is_fixed_refuses_a_nan_tolerance():
+    m = pairing_profunctor([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        is_fixed(m, pre((fin(0), fin(3), fin(0)), EXT_REAL), tol=float("nan"))

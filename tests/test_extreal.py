@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import math
+import pickle
 
 import numpy as np
 import pytest
@@ -179,3 +181,48 @@ def test_array_round_trip_and_nan_rejection():
     assert ext.from_array(ext.to_array(vals)) == vals
     with pytest.raises(ValueError):
         ext.from_array(np.array([1.0, float("nan")]))
+
+
+def test_one_cell_behind_the_tag_view():
+    assert ExtReal.__slots__ == ("_cell",)
+    for x, tag, value in ((N, Tag.NEG_INF, 0.0), (fin(2.5), Tag.FINITE, 2.5), (P, Tag.POS_INF, 0.0)):
+        assert (x.tag, x.value, x.is_finite) == (tag, value, tag is Tag.FINITE)
+        assert x.tag is tag and ExtReal(x.tag, x.value) == x
+    assert ExtReal(Tag.NEG_INF, 7.0).to_float() == -math.inf
+    with pytest.raises(ValueError):
+        ExtReal(Tag.FINITE, float("-inf"))
+    with pytest.raises(ValueError):
+        ext.from_float(float("nan"))
+
+
+def test_negative_zero():
+    neg = ExtReal(Tag.FINITE, -0.0)
+    assert str(neg) == "-0.0" and repr(neg) == "ExtReal(-0.0)"
+    assert math.copysign(1.0, ext.from_float(-0.0).to_float()) == 1.0
+    assert ext.render(ext.from_float(-0.0)) == "0.0"
+    assert neg == ZERO and hash(neg) == hash(ZERO) and len({neg, ZERO}) == 1
+    assert not neg < ZERO and not ZERO < neg and neg <= ZERO and neg >= ZERO
+    assert ext.compare(neg, ZERO) == 0
+
+
+def test_order_equality_and_hash_follow_the_cell():
+    xs = [P, fin(1e308), fin(1.0), ZERO, fin(-5e-324), N]
+    assert sorted(xs) == xs[::-1]
+    assert all(a > b and a >= b and b < a and b <= a and a != b for a, b in zip(xs, xs[1:]))
+    assert len({*xs, *(ext.from_float(x.to_float()) for x in xs)}) == len(xs)
+    assert (ZERO == 0.0) is False and ZERO.__lt__(0.0) is NotImplemented
+
+
+def test_pickle_round_trip():
+    for x in (N, P, ZERO, ExtReal(Tag.FINITE, -0.0), fin(-2.75), fin(5e-324)):
+        y = pickle.loads(pickle.dumps(x))
+        assert type(y) is ExtReal and y == x and repr(y) == repr(x)
+
+
+def test_parse_reads_what_float_reads_and_refuses_underscores():
+    for token, want in (("Infinity", P), ("-INFINITY", N), (" +Inf\t", P), ("1e400", P), ("-1e400", N),
+                        ("-0.0", ZERO), ("1e-400", ZERO), ("\t2.5 ", fin(2.5))):
+        assert ext.parse(token) == want
+    for token in ("1_0", "1_000.5", "-inf_", "NaN", " -nan "):
+        with pytest.raises(ValueError, match="not an extended real"):
+            ext.parse(token)

@@ -587,3 +587,30 @@ def test_default_dual_grid_refuses_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_grid_holds_no_tuple_until_points_is_read():
+    grid = Grid(np.linspace(-1.0, 1.0, 1001))
+    assert "points" not in vars(grid)
+    conjugate(SampledFunction(grid, np.abs(grid.as_array), Space.PRIMAL), grid)
+    render_function_csv(SampledFunction(grid, np.zeros(len(grid)), Space.PRIMAL))
+    assert len(grid) == 1001 and "points" not in vars(grid)
+    assert grid.points[500] == 0.0 and "points" in vars(grid)
+
+
+def test_grid_equality_and_hash_across_negative_zero():
+    neg, pos = Grid((-1.0, -0.0)), Grid((-1.0, 0.0))
+    assert neg == pos and hash(neg) == hash(pos) and len({neg, pos}) == 1
+    assert neg != Grid((-1.0, 0.5)) and neg != (-1.0, 0.0)
+    assert math.copysign(1.0, neg.as_array[1]) == -1.0 and repr(neg) == "Grid(points=(-1.0, -0.0))"
+    f = SampledFunction(neg, [fin(1.0), fin(2.0)], Space.PRIMAL)
+    assert render_function_csv(f) == "x,value\n-1.0,1.0\n-0.0,2.0\n"
+
+
+def test_grid_is_immutable():
+    grid = Grid((0.0, 1.0))
+    grid.points
+    for name in ("as_array", "points"):
+        with pytest.raises(AttributeError):
+            setattr(grid, name, np.array([5.0]))
+    assert grid.points == (0.0, 1.0) and grid.as_array.tolist() == [0.0, 1.0]
