@@ -3,9 +3,16 @@
 Verbs cover the sampled-function calculus (conjugate, biconjugate,
 hull, distance, the three duality checks), the concept-lattice side
 (concepts, lattice), min-plus matrix composition, plot-ready dumps and
-a self-demonstration of the infinity arithmetic tables.  Exit status is
-the only channel for check outcomes: 0 success, 1 failed check, 2 for
-unreadable or malformed input.
+a self-demonstration of the infinity arithmetic tables.
+
+One table, ``_VERBS``, gives each verb's help, handler, file arguments
+with their reader, and other arguments; its lambdas look library names
+up when called, so a wrapper on this module's names sees every call.
+Handlers are pure functions of the arguments and the files read and
+return their text (``check`` its exit code too).  ``run`` alone reads
+files, writes stdout or ``--out`` and reports errors: exit 0 success,
+1 failed check, 2 for unreadable or malformed input, naming the file
+with its line and field, or the files between which sizes differ.
 """
 
 from __future__ import annotations
@@ -16,11 +23,12 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import extreal as ext
-from .core import FormatError, compose_profunctors, parse_matrix_csv, render_matrix_csv
+from .core import FormatError, SizeMismatchError, compose_profunctors, parse_matrix_csv, render_matrix_csv
 from .galois import enumerate_concepts, export_dot, parse_context_csv, parse_cxt
 from .legendre import (
     Grid,
@@ -42,24 +50,15 @@ from .legendre import (
 __all__ = ["build_parser", "run", "main"]
 
 
-def _load(path: str, parse):
-    """``parse`` applied to the file's text, a FormatError naming the file."""
-    text = Path(path).read_text()
-    try:
-        return parse(text)
-    except FormatError as e:
-        e.source = path
-        raise
-
-
 def _parse_context(text: str):
     first = next((ln.strip() for ln in text.splitlines() if ln.strip()), "")
     return parse_cxt(text) if first == "B" else parse_context_csv(text)
 
 
 def _parse_dual_spec(spec: str, inputs: list[tuple[str, SampledFunction]]) -> Grid:
-    """Either ``lo:hi:step`` or ``auto`` (difference quotients of the inputs,
-    each given with the path it was read from)."""
+    """Either ``lo:hi:step``, three numbers read by the file token rule, or
+    ``auto`` (difference quotients of the inputs, each given with the path
+    it was read from)."""
     if spec == "auto":
         grids = []
         for path, f in inputs:
@@ -70,11 +69,8 @@ def _parse_dual_spec(spec: str, inputs: list[tuple[str, SampledFunction]]) -> Gr
         if len(grids) == 1:
             return grids[0]
         return Grid(np.unique(np.concatenate([g.as_array for g in grids])))
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"dual grid must be lo:hi:step or auto, got {spec!r}")
     try:
-        lo, hi, step = (float(p) for p in parts)
+        lo, hi, step = map(ext._real, spec.split(":"))
     except ValueError:
         raise ValueError(f"dual grid must be lo:hi:step or auto, got {spec!r}") from None
     try:
@@ -83,20 +79,20 @@ def _parse_dual_spec(spec: str, inputs: list[tuple[str, SampledFunction]]) -> Gr
         raise ValueError(f"--dual {spec}: {e}") from None
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _flag_real(token: str) -> float:
+    """A number flag read by the file token rule, refused as argparse refuses ``float``."""
+    try:
+        return ext._real(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {token!r}") from None
 
 
-def _check_tol(tol: float) -> float:
-    if not tol >= 0:
-        raise ValueError("tolerance must be nonnegative")
-    return tol
+def _as_dual(f: SampledFunction) -> SampledFunction:
+    """The same samples read as a function of slope."""
+    return SampledFunction(f.grid, f.values_array, Space.DUAL)
 
 
-def _cmd_tables(args: argparse.Namespace) -> int:
+def _tables(args: argparse.Namespace) -> str:
     row = [ext.NEG_INF, ext.finite(5.0), ext.POS_INF]
     col = [ext.NEG_INF, ext.finite(3.0), ext.POS_INF]
     lines = []
@@ -105,89 +101,41 @@ def _cmd_tables(args: argparse.Namespace) -> int:
         for x in row:
             lines.append("\t".join([ext.render(x)] + [ext.render(op(x, y)) for y in col]))
         lines.append("")
-    _emit("\n".join(lines), args.out)
-    return 0
+    return "\n".join(lines)
 
 
-def _cmd_conjugate(args: argparse.Namespace) -> int:
-    f = _load(args.input, parse_function_csv)
+def _transform(args: argparse.Namespace, f: SampledFunction, transform) -> str:
     dual = _parse_dual_spec(args.dual, [(args.input, f)])
-    _emit(render_function_csv(conjugate(f, dual)), args.out)
-    return 0
+    return render_function_csv(transform(f, dual))
 
 
-def _cmd_biconjugate(args: argparse.Namespace) -> int:
-    f = _load(args.input, parse_function_csv)
-    dual = _parse_dual_spec(args.dual, [(args.input, f)])
-    _emit(render_function_csv(biconjugate(f, dual)), args.out)
-    return 0
-
-
-def _cmd_hull(args: argparse.Namespace) -> int:
-    f = _load(args.input, parse_function_csv)
-    _emit(render_function_csv(convex_hull_oracle(f)), args.out)
-    return 0
-
-
-def _cmd_distance(args: argparse.Namespace) -> int:
-    f1 = _load(args.first, parse_function_csv)
-    f2 = _load(args.second, parse_function_csv)
+def _distance(args: argparse.Namespace, f1: SampledFunction, f2: SampledFunction) -> str:
     climb = climb_distance(f1, f2)
-    # the same samples read as functions of slope
-    g1, g2 = (SampledFunction(f.grid, f.values_array, Space.DUAL) for f in (f1, f2))
-    fall = fall_distance(g1, g2)
-    _emit(f"climb {ext.render(climb)}\nfall {ext.render(fall)}\n", args.out)
-    return 0
+    fall = fall_distance(_as_dual(f1), _as_dual(f2))
+    return f"climb {ext.render(climb)}\nfall {ext.render(fall)}\n"
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    tol = _check_tol(args.tol)
+def _check(args: argparse.Namespace, f1: SampledFunction, f2: SampledFunction) -> tuple[str, int]:
+    tol = ext._check_tol(args.tol)  # refused before any --dual is read
     if args.kind == "adjunction":
-        f = _load(args.first, parse_function_csv)
-        g = _load(args.second, lambda text: parse_function_csv(text, Space.DUAL))
-        dual = _parse_dual_spec(args.dual, [(args.first, f)]) if args.dual else None
-        report = check_lf_adjunction(f, g, dual=dual, tol=tol)
+        dual = _parse_dual_spec(args.dual, [(args.first, f1)]) if args.dual else None
+        report = check_lf_adjunction(f1, _as_dual(f2), dual=dual, tol=tol)
     else:
-        f1 = _load(args.first, parse_function_csv)
-        f2 = _load(args.second, parse_function_csv)
         if not args.dual:
             raise ValueError(f"check {args.kind} needs --dual")
         dual = _parse_dual_spec(args.dual, [(args.first, f1), (args.second, f2)])
-        if args.kind == "short":
-            report = check_short(f1, f2, dual, tol=tol)
-        else:
-            report = check_toland_singer(f1, f2, dual, tol=tol)
-    text = (
-        json.dumps(report.to_json_dict(), indent=2) + "\n"
-        if args.json
-        else report.render_text() + "\n"
-    )
-    _emit(text, args.out)
-    return 0 if report.holds else 1
+        check = check_short if args.kind == "short" else check_toland_singer
+        report = check(f1, f2, dual, tol=tol)
+    text = json.dumps(report.to_json_dict(), indent=2) if args.json else report.render_text()
+    return text + "\n", 0 if report.holds else 1
 
 
-def _cmd_concepts(args: argparse.Namespace) -> int:
-    lattice = enumerate_concepts(_load(args.input, _parse_context))
-    _emit("".join(f"{c}\n" for c in lattice.concepts), args.out)
-    return 0
+def _compose(args: argparse.Namespace, first, second) -> str:
+    (rows, _, a), (_, cols, b) = first, second
+    return render_matrix_csv(rows, cols, compose_profunctors(a, b))
 
 
-def _cmd_lattice(args: argparse.Namespace) -> int:
-    lattice = enumerate_concepts(_load(args.input, _parse_context))
-    _emit(export_dot(lattice), args.out)
-    return 0
-
-
-def _cmd_compose(args: argparse.Namespace) -> int:
-    rows_a, cols_a, first = _load(args.first, parse_matrix_csv)
-    rows_b, cols_b, second = _load(args.second, parse_matrix_csv)
-    composed = compose_profunctors(first, second)
-    _emit(render_matrix_csv(rows_a, cols_b, composed), args.out)
-    return 0
-
-
-def _cmd_plotdata(args: argparse.Namespace) -> int:
-    f = _load(args.input, parse_function_csv)
+def _plotdata(args: argparse.Namespace, f: SampledFunction) -> str:
     lines = []
     omitted = []
     for x, v in zip(f.grid.as_array.tolist(), f.values_array.tolist()):
@@ -198,81 +146,71 @@ def _cmd_plotdata(args: argparse.Namespace) -> int:
     if omitted:
         shown = ", ".join(f"x={x!r}" for x in omitted)
         lines.append(f"# omitted {len(omitted)} infinite samples: {shown}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
+
+
+class _Verb(NamedTuple):
+    help: str
+    handler: Callable[..., str | tuple[str, int]]
+    files: tuple[str, ...] = ()
+    read: Callable[[str], object] | None = None
+    options: tuple[tuple[str, dict], ...] = ()
+
+
+_FUNCTION = lambda text: parse_function_csv(text)  # noqa: E731 (late binding, as in the table)
+_DUAL_HELP = "slope grid, lo:hi:step or auto"
+_SLOPES = (("--dual", {"required": True, "help": _DUAL_HELP}),)
+_VERBS = {
+    "tables": _Verb("print the infinity arithmetic tables", _tables),
+    "conjugate": _Verb(
+        "slope transform of a function CSV", lambda args, f: _transform(args, f, conjugate),
+        ("input",), _FUNCTION, _SLOPES),
+    "biconjugate": _Verb(
+        "transform twice: convex envelope on the slope grid",
+        lambda args, f: _transform(args, f, biconjugate),
+        ("input",), _FUNCTION, _SLOPES),
+    "hull": _Verb(
+        "geometric lower convex hull of the samples",
+        lambda args, f: render_function_csv(convex_hull_oracle(f)), ("input",), _FUNCTION),
+    "distance": _Verb(
+        "climb and fall distances between two functions", _distance, ("first", "second"), _FUNCTION),
+    "check": _Verb(
+        "verify a duality identity; exit 0 iff it holds", _check, ("first", "second"), _FUNCTION, (
+            ("kind", {"choices": ["adjunction", "short", "toland-singer"]}),
+            ("--dual", {"help": _DUAL_HELP}),
+            ("--tol", {"type": _flag_real, "default": 1e-9, "help": "tolerance on finite values"}),
+            ("--json", {"action": "store_true", "help": "emit the report as JSON"}),
+        )),
+    "concepts": _Verb(
+        "list all concepts of a context (.cxt or CSV)",
+        lambda args, ctx: "".join(f"{c}\n" for c in enumerate_concepts(ctx).concepts),
+        ("input",), _parse_context),
+    "lattice": _Verb(
+        "DOT Hasse diagram of the concept lattice",
+        lambda args, ctx: export_dot(enumerate_concepts(ctx)), ("input",), _parse_context),
+    "compose": _Verb(
+        "min-plus product of two labelled matrices", _compose,
+        ("first", "second"), lambda text: parse_matrix_csv(text)),
+    "plotdata": _Verb("tab-separated finite samples for plotting", _plotdata, ("input",), _FUNCTION),
+}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process: parsing reads it and
-    leaves it as it was, each run getting a fresh namespace."""
+    """The CLI's parser, built once per process from ``_VERBS``: parsing
+    reads it and leaves it as it was, each run getting a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="nucleus",
         description="Discrete conjugation calculus and concept lattices.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add_out(p: argparse.ArgumentParser) -> None:
+    for name, verb in _VERBS.items():
+        p = sub.add_parser(name, help=verb.help)
+        for flag, kwargs in verb.options:
+            p.add_argument(flag, **kwargs)
+        for file in verb.files:
+            p.add_argument(file)
         p.add_argument("--out", help="write output here instead of stdout")
-
-    p = sub.add_parser("tables", help="print the infinity arithmetic tables")
-    add_out(p)
-    p.set_defaults(handler=_cmd_tables)
-
-    p = sub.add_parser("conjugate", help="slope transform of a function CSV")
-    p.add_argument("input")
-    p.add_argument("--dual", required=True, help="slope grid, lo:hi:step or auto")
-    add_out(p)
-    p.set_defaults(handler=_cmd_conjugate)
-
-    p = sub.add_parser("biconjugate", help="transform twice: convex envelope on the slope grid")
-    p.add_argument("input")
-    p.add_argument("--dual", required=True, help="slope grid, lo:hi:step or auto")
-    add_out(p)
-    p.set_defaults(handler=_cmd_biconjugate)
-
-    p = sub.add_parser("hull", help="geometric lower convex hull of the samples")
-    p.add_argument("input")
-    add_out(p)
-    p.set_defaults(handler=_cmd_hull)
-
-    p = sub.add_parser("distance", help="climb and fall distances between two functions")
-    p.add_argument("first")
-    p.add_argument("second")
-    add_out(p)
-    p.set_defaults(handler=_cmd_distance)
-
-    p = sub.add_parser("check", help="verify a duality identity; exit 0 iff it holds")
-    p.add_argument("kind", choices=["adjunction", "short", "toland-singer"])
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--dual", help="slope grid, lo:hi:step or auto")
-    p.add_argument("--tol", type=float, default=1e-9, help="tolerance on finite values")
-    p.add_argument("--json", action="store_true", help="emit the report as JSON")
-    add_out(p)
-    p.set_defaults(handler=_cmd_check)
-
-    p = sub.add_parser("concepts", help="list all concepts of a context (.cxt or CSV)")
-    p.add_argument("input")
-    add_out(p)
-    p.set_defaults(handler=_cmd_concepts)
-
-    p = sub.add_parser("lattice", help="DOT Hasse diagram of the concept lattice")
-    p.add_argument("input")
-    add_out(p)
-    p.set_defaults(handler=_cmd_lattice)
-
-    p = sub.add_parser("compose", help="min-plus product of two labelled matrices")
-    p.add_argument("first")
-    p.add_argument("second")
-    add_out(p)
-    p.set_defaults(handler=_cmd_compose)
-
-    p = sub.add_parser("plotdata", help="tab-separated finite samples for plotting")
-    p.add_argument("input")
-    add_out(p)
-    p.set_defaults(handler=_cmd_plotdata)
-
     return parser
 
 
@@ -294,17 +232,30 @@ def _fold_flag_values(argv: list[str]) -> list[str]:
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_fold_flag_values(argv))
+        args = build_parser().parse_args(_fold_flag_values(argv))
     except SystemExit as e:
         return int(e.code or 0)
+    verb = _VERBS[args.verb]
+    paths = [getattr(args, name) for name in verb.files]
     try:
-        return args.handler(args)
-    except FormatError as e:
-        source = getattr(e, "source", "<input>")
-        print(f"error: {source}: {e}", file=sys.stderr)
-        return 2
+        inputs = []
+        for path in paths:
+            text = Path(path).read_text()
+            try:
+                inputs.append(verb.read(text))
+            except FormatError as e:
+                raise ValueError(f"{path}: {e}") from None
+        try:
+            out = verb.handler(args, *inputs)
+        except SizeMismatchError as e:
+            raise ValueError(f"{', '.join(paths)}: {e}") from None
+        text, code = out if isinstance(out, tuple) else (out, 0)
+        if args.out:
+            Path(args.out).write_text(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

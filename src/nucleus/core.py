@@ -301,10 +301,7 @@ def is_fixed(profunctor: Profunctor, vector: PresheafVector, tol: float | None =
     Infinite tags must match exactly; finite coordinates may differ by
     ``tol`` (default 0 for truth, 1e-9 for extended reals).
     """
-    if tol is None:
-        tol = profunctor.quantale.default_fixed_tol
-    if not tol >= 0:
-        raise ValueError("tolerance must be nonnegative")
+    tol = ext._check_tol(profunctor.quantale.default_fixed_tol if tol is None else tol)
     return _vectors_approx_equal(closure(profunctor, vector), vector, tol)
 
 
@@ -412,8 +409,7 @@ def nucleus_limit(
     must be fixed pairs; the output is again a fixed pair.
     """
     q = profunctor.quantale
-    if tol is None:
-        tol = q.default_fixed_tol
+    tol = ext._check_tol(q.default_fixed_tol if tol is None else tol)
     for pair in pairs:
         _check_fixed_pair(profunctor, pair, tol)
 

@@ -163,6 +163,14 @@ def geq_within(a: ExtReal, b: ExtReal, tol: float) -> bool:
     return x >= y
 
 
+def _check_tol(tol: float) -> float:
+    """``tol`` when it is a usable tolerance, ``>= 0`` with ``inf`` allowed;
+    a negative or NaN tolerance is a ValueError."""
+    if not tol >= 0:
+        raise ValueError("tolerance must be nonnegative")
+    return tol
+
+
 def render(x: ExtReal) -> str:
     """Shortest round-trip text: ``inf``, ``-inf`` or a decimal literal."""
     return render_float(x._cell)

@@ -222,15 +222,9 @@ class DualityReport:
     status: CheckStatus = CheckStatus.OK
 
     def render_text(self) -> str:
+        """One ``key value`` line per JSON key, in order; ``holds`` as ``true``/``false``."""
         return "\n".join(
-            [
-                f"lhs {ext.render(self.lhs)}",
-                f"rhs {ext.render(self.rhs)}",
-                f"relation {self.relation.value}",
-                f"holds {'true' if self.holds else 'false'}",
-                f"tolerance {self.tolerance!r}",
-                f"status {self.status.value}",
-            ]
+            f"{key} {str(v).lower() if isinstance(v, bool) else v}" for key, v in self.to_json_dict().items()
         )
 
     def to_json_dict(self) -> dict:
@@ -249,7 +243,9 @@ def _require_space(f: SampledFunction, space: Space, what: str) -> None:
         raise ValueError(f"{what} must be a {space.value} function")
 
 
-def _require_same_grid(a: SampledFunction, b: SampledFunction) -> None:
+def _require_pair(a: SampledFunction, b: SampledFunction, space: Space, what: str) -> None:
+    _require_space(a, space, what)
+    _require_space(b, space, what)
     if a.grid != b.grid:
         raise SizeMismatchError("functions live on different grids")
 
@@ -378,18 +374,14 @@ def biconjugate(f: SampledFunction, dual: Grid) -> SampledFunction:
 
 def climb_distance(f1: SampledFunction, f2: SampledFunction) -> ExtReal:
     """Largest climb from f1 up to f2: max over the grid of f2(x) - f1(x)."""
-    _require_space(f1, Space.PRIMAL, "climb_distance input")
-    _require_space(f2, Space.PRIMAL, "climb_distance input")
-    _require_same_grid(f1, f2)
+    _require_pair(f1, f2, Space.PRIMAL, "climb_distance input")
     diff = ext.sub_arrays(f2.values_array, f1.values_array)
     return ext.from_float(float(diff.max()))
 
 
 def fall_distance(g1: SampledFunction, g2: SampledFunction) -> ExtReal:
     """Largest fall from g1 down to g2: max over slopes of g1(k) - g2(k)."""
-    _require_space(g1, Space.DUAL, "fall_distance input")
-    _require_space(g2, Space.DUAL, "fall_distance input")
-    _require_same_grid(g1, g2)
+    _require_pair(g1, g2, Space.DUAL, "fall_distance input")
     diff = ext.sub_arrays(g1.values_array, g2.values_array)
     return ext.from_float(float(diff.max()))
 
@@ -401,19 +393,15 @@ def check_lf_adjunction(
     tol: float = DEFAULT_TOL,
 ) -> DualityReport:
     """The transform adjunction: fall(conj f, g) equals climb(f, rev g)."""
+    ext._check_tol(tol)
     _require_space(f, Space.PRIMAL, "adjunction check")
     _require_space(g, Space.DUAL, "adjunction check")
     if dual is not None and dual != g.grid:
         raise SizeMismatchError("dual grid does not match the dual function's grid")
     lhs = fall_distance(conjugate(f, g.grid), g)
     rhs = climb_distance(f, reverse_conjugate(g, f.grid))
-    return DualityReport(
-        lhs=lhs,
-        rhs=rhs,
-        relation=Relation.EQUAL,
-        holds=ext.approx_equal(lhs, rhs, tol),
-        tolerance=tol,
-    )
+    holds = ext.approx_equal(lhs, rhs, tol)
+    return DualityReport(lhs=lhs, rhs=rhs, relation=Relation.EQUAL, holds=holds, tolerance=tol)
 
 
 def check_short(
@@ -423,18 +411,9 @@ def check_short(
     tol: float = DEFAULT_TOL,
 ) -> DualityReport:
     """Conjugation never increases distance: climb(f1,f2) >= fall(conj f1, conj f2)."""
-    _require_space(f1, Space.PRIMAL, "shortness check")
-    _require_space(f2, Space.PRIMAL, "shortness check")
-    _require_same_grid(f1, f2)
-    lhs = climb_distance(f1, f2)
-    rhs = fall_distance(conjugate(f1, dual), conjugate(f2, dual))
-    return DualityReport(
-        lhs=lhs,
-        rhs=rhs,
-        relation=Relation.GEQ,
-        holds=ext.geq_within(lhs, rhs, tol),
-        tolerance=tol,
-    )
+    lhs, rhs = _climb_and_fall(f1, f2, dual, tol, "shortness check")
+    holds = ext.geq_within(lhs, rhs, tol)
+    return DualityReport(lhs=lhs, rhs=rhs, relation=Relation.GEQ, holds=holds, tolerance=tol)
 
 
 def check_toland_singer(
@@ -449,11 +428,7 @@ def check_toland_singer(
     slope grid; when it is not, the report carries HYPOTHESIS_NOT_MET
     so the failure is not mistaken for a duality violation.
     """
-    _require_space(f1, Space.PRIMAL, "duality check")
-    _require_space(f2, Space.PRIMAL, "duality check")
-    _require_same_grid(f1, f2)
-    lhs = climb_distance(f1, f2)
-    rhs = fall_distance(conjugate(f1, dual), conjugate(f2, dual))
+    lhs, rhs = _climb_and_fall(f1, f2, dual, tol, "duality check")
     hull2 = biconjugate(f2, dual)
     hypothesis_ok = ext.approx_equal_arrays(hull2.values_array, f2.values_array, tol)
     status = CheckStatus.OK if hypothesis_ok else CheckStatus.HYPOTHESIS_NOT_MET
@@ -461,6 +436,16 @@ def check_toland_singer(
     return DualityReport(
         lhs=lhs, rhs=rhs, relation=Relation.EQUAL, holds=holds, tolerance=tol, status=status
     )
+
+
+def _climb_and_fall(
+    f1: SampledFunction, f2: SampledFunction, dual: Grid, tol: float, what: str
+) -> tuple[ExtReal, ExtReal]:
+    """climb(f1, f2) and fall(conj f1, conj f2), the two sides that shortness
+    and Toland-Singer compare, once the tolerance and the pair are checked."""
+    ext._check_tol(tol)
+    _require_pair(f1, f2, Space.PRIMAL, what)
+    return climb_distance(f1, f2), fall_distance(conjugate(f1, dual), conjugate(f2, dual))
 
 
 def convex_hull_oracle(f: SampledFunction) -> SampledFunction:
@@ -547,29 +532,25 @@ def default_dual_grid(f: SampledFunction) -> Grid:
     return Grid(np.unique(slopes))
 
 
-def pointwise_sup(
-    fs: Sequence[SampledFunction], grid: Grid | None = None, space: Space = Space.PRIMAL
-) -> SampledFunction:
-    """Pointwise maximum; the empty family is constant -inf."""
-    grid = _family_grid(fs, grid, space)
+def pointwise_sup(fs: Sequence[SampledFunction], grid: Grid | None = None) -> SampledFunction:
+    """Pointwise maximum of primal functions; the empty family is constant -inf."""
+    grid = _family_grid(fs, grid)
     if not fs:
-        return SampledFunction(grid, np.full(len(grid), -np.inf), space)
-    return SampledFunction(grid, np.max([f.values_array for f in fs], axis=0), space)
+        return SampledFunction(grid, np.full(len(grid), -np.inf), Space.PRIMAL)
+    return SampledFunction(grid, np.max([f.values_array for f in fs], axis=0), Space.PRIMAL)
 
 
-def pointwise_inf(
-    fs: Sequence[SampledFunction], grid: Grid | None = None, space: Space = Space.PRIMAL
-) -> SampledFunction:
-    """Pointwise minimum; the empty family is constant +inf."""
-    grid = _family_grid(fs, grid, space)
+def pointwise_inf(fs: Sequence[SampledFunction], grid: Grid | None = None) -> SampledFunction:
+    """Pointwise minimum of primal functions; the empty family is constant +inf."""
+    grid = _family_grid(fs, grid)
     if not fs:
-        return SampledFunction(grid, np.full(len(grid), np.inf), space)
-    return SampledFunction(grid, np.min([f.values_array for f in fs], axis=0), space)
+        return SampledFunction(grid, np.full(len(grid), np.inf), Space.PRIMAL)
+    return SampledFunction(grid, np.min([f.values_array for f in fs], axis=0), Space.PRIMAL)
 
 
-def _family_grid(fs: Sequence[SampledFunction], grid: Grid | None, space: Space) -> Grid:
+def _family_grid(fs: Sequence[SampledFunction], grid: Grid | None) -> Grid:
     for f in fs:
-        _require_space(f, space, "family member")
+        _require_space(f, Space.PRIMAL, "family member")
         if grid is None:
             grid = f.grid
         elif f.grid != grid:

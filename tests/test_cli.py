@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 
 import nucleus
 from nucleus import extreal as ext
-from nucleus.cli import _parse_dual_spec, build_parser, run
+from nucleus.cli import _fold_flag_values, _parse_dual_spec, build_parser, run
 from nucleus.core import EXT_REAL, Profunctor, render_matrix_csv
 from nucleus.galois import parse_cxt, render_cxt
 from nucleus.legendre import (
@@ -386,3 +387,58 @@ def test_underscore_tokens_exit_two_naming_file_line_and_field(tmp_path, capsys)
     ):
         assert run(argv) == 2
         assert capsys.readouterr().err == want
+
+
+def test_size_errors_name_the_files(tmp_path, capsys):
+    a = write(tmp_path, "a.csv", ",x,y,z\nr,0.0,1.0,2.0\n")
+    b = write(tmp_path, "b.csv", ",u\nz,0.0\n")
+    f = write(tmp_path, "f.csv", "x,value\n-1.0,1.0\n0.0,0.0\n1.0,1.0\n")
+    g = write(tmp_path, "g.csv", "x,value\n-1.0,0.0\n1.0,0.0\n")
+    grids = f"error: {f}, {g}: functions live on different grids\n"
+    for argv, want in (
+        (["compose", a, b], f"error: {a}, {b}: inner sizes differ: 3 vs 1\n"),
+        (["distance", f, g], grids),
+        (["check", "short", f, g, "--dual", "0:1:1"], grids),
+        (["check", "toland-singer", f, g, "--dual", "0:1:1", "--json"], grids),
+        (["check", "adjunction", f, g, "--dual", "0:1:0.5"],
+         f"error: {f}, {g}: dual grid does not match the dual function's grid\n"),
+    ):
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", want)
+
+
+def test_out_into_a_missing_directory_exits_two(tmp_path, capsys):
+    f = write(tmp_path, "f.csv", "x,value\n0.0,0.0\n")
+    for argv in (["hull", f], ["tables"], ["check", "short", f, f, "--dual", "0:1:1"]):
+        assert run([*argv, "--out", str(tmp_path / "missing" / "o.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: [Errno 2] ")
+
+
+def test_underscore_flag_numbers_exit_two(tmp_path, capsys):
+    # float() reads 1_0 as 10; flags follow the same token rule as files
+    v = write(tmp_path, "v.csv", "x,value\n-1.0,1.0\n0.0,0.0\n1.0,1.0\n")
+    assert run(["conjugate", v, "--dual", "-1_0:1_0:5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: dual grid must be lo:hi:step or auto, got '-1_0:1_0:5'\n"
+    assert run(["check", "short", v, v, "--dual", "-1:1:0.5", "--tol", "1_0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: argument --tol: invalid float value: '1_0'\n")
+    for dual in ("Infinity:1:1", "0:1e400:1"):
+        assert run(["conjugate", v, "--dual", dual]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+
+def test_readme_cli_block_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [ln.split("#", 1)[0].split() for ln in block.splitlines()]
+    commands = [words[1:] for words in lines if words and words[0] == "nucleus"]
+    assert len(commands) == len([ln for ln in lines if ln])
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(_fold_flag_values(argv))
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(verbs) == {argv[0] for argv in commands}

@@ -424,3 +424,14 @@ def test_is_fixed_refuses_a_nan_tolerance():
     m = pairing_profunctor([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0])
     with pytest.raises(ValueError, match="nonnegative"):
         is_fixed(m, pre((fin(0), fin(3), fin(0)), EXT_REAL), tol=float("nan"))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0])
+def test_nucleus_limit_refuses_a_negative_or_nan_tolerance(tol):
+    m = pairing_profunctor([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0])
+    pair = fixed_pair(m, (fin(1), fin(0), fin(1)))
+    with pytest.raises(ValueError, match="nonnegative"):
+        nucleus_limit(m, LimitKind.PRODUCT, [pair], tol=tol)
+    with pytest.raises(ValueError, match="nonnegative"):
+        nucleus_limit(m, LimitKind.PRODUCT, [], tol=tol)
+    assert nucleus_limit(m, LimitKind.PRODUCT, [pair], tol=float("inf")) == pair

@@ -614,3 +614,28 @@ def test_grid_is_immutable():
         with pytest.raises(AttributeError):
             setattr(grid, name, np.array([5.0]))
     assert grid.points == (0.0, 1.0) and grid.as_array.tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0])
+def test_duality_checks_refuse_a_negative_or_nan_tolerance(tol):
+    # a NaN or negative tolerance used to compare false, a violation that is not there
+    f = sample(Grid.from_range(-1.0, 1.0, 0.5), abs)
+    g = reverse_conjugate(conjugate(f, FIG_DUAL), f.grid)
+    for check, args in (
+        (check_lf_adjunction, (f, conjugate(f, FIG_DUAL))),
+        (check_short, (f, g, FIG_DUAL)),
+        (check_toland_singer, (f, g, FIG_DUAL)),
+    ):
+        with pytest.raises(ValueError, match="nonnegative"):
+            check(*args, tol=tol)
+        report = check(*args, tol=math.inf)
+        assert report.holds and report.render_text().endswith("holds true\ntolerance inf\nstatus OK")
+
+
+def test_duality_report_text_is_its_json_keys():
+    spike = primal([-1.0, 0.0, 1.0], [0.0, 3.0, 0.0])
+    vee = primal([-1.0, 0.0, 1.0], [1.0, 0.0, 1.0])
+    report = check_toland_singer(vee, spike, Grid((-1.0, 0.0, 1.0)))
+    assert report.render_text() == (
+        "lhs 3.0\nrhs 0.0\nrelation EQUAL\nholds false\ntolerance 1e-09\nstatus HYPOTHESIS_NOT_MET"
+    )
