@@ -241,9 +241,12 @@ def run(argv: list[str]) -> int:
     try:
         inputs = []
         for path in paths:
-            text = Path(path).read_text()
             try:
-                inputs.append(verb.read(text))
+                inputs.append(verb.read(Path(path).read_text(encoding="utf-8")))
+            except UnicodeDecodeError as e:
+                raise ValueError(
+                    f"{path}: not valid UTF-8 (byte 0x{e.object[e.start]:02x} at offset {e.start})"
+                ) from None
             except FormatError as e:
                 raise ValueError(f"{path}: {e}") from None
         try:
@@ -252,7 +255,7 @@ def run(argv: list[str]) -> int:
             raise ValueError(f"{', '.join(paths)}: {e}") from None
         text, code = out if isinstance(out, tuple) else (out, 0)
         if args.out:
-            Path(args.out).write_text(text)
+            Path(args.out).write_text(text, encoding="utf-8")
         else:
             sys.stdout.write(text)
         return code

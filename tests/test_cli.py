@@ -442,3 +442,31 @@ def test_readme_cli_block_parses():
         parser.parse_args(_fold_flag_values(argv))
     verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
     assert set(verbs) == {argv[0] for argv in commands}
+
+
+def test_input_that_is_not_utf8_names_the_file(tmp_path, capsys):
+    good = write(tmp_path, "m.csv", ",a\nr,1.0\n")
+    for name, data, verb, offset in (
+        ("bin.csv", b"x,value\n0.0,\xff\n", "hull", 12),
+        ("bin.cxt", b"B\n\n1\n1\ng\xe9\nm\nX\n", "concepts", 8),
+        ("bin_m.csv", b",a\nr\x80,1.0\n", "compose", 4),
+    ):
+        path = tmp_path / name
+        path.write_bytes(data)
+        argv = [verb, *([good] if verb == "compose" else []), str(path)]
+        assert run(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {path}: not valid UTF-8 (byte 0x{data[offset]:02x} at offset {offset})\n"
+        )
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    # the C locale without UTF-8 mode reads and writes ASCII by default
+    env = {**os.environ, "LC_ALL": "C", "PYTHONPATH": str(Path(nucleus.__file__).parents[1])}
+    path = tmp_path / "u.cxt"
+    path.write_bytes("B\n\n1\n1\ncafé\nm\nX\n".encode())
+    out = tmp_path / "o.txt"
+    cmd = [sys.executable, "-X", "utf8=0", "-m", "nucleus", "concepts", str(path), "--out", str(out)]
+    done = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    assert out.read_bytes() == "({café}, {m})\n".encode()

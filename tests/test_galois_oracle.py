@@ -1,12 +1,15 @@
 """The concept lattice against dense oracles, and the labelled-table CSV codec.
 
-The oracles are the earlier dense formulations: the inclusion order
-from extents as label sets, ``top`` and ``bottom`` as O(n^2) scans of
-that order, and ``covers`` as the transitive reduction of the dense
-order matrix.  The lattice must agree with them exactly on random
-contexts, including ones without objects or without attributes and
-ones whose masks span several machine words.  The set-bit polar and
-label kernels are checked against the per-bit loops they replaced.
+The oracles are the earlier formulations: the inclusion order from
+extents as label sets, ``top`` and ``bottom`` as O(n^2) scans of that
+order, ``covers`` as the transitive reduction of the dense order matrix,
+the NextClosure walk that FCbO replaced, and the upper-neighbour covers
+that spent one polar per object outside each extent.  The lattice must
+agree with them exactly on random contexts, including ones without
+objects or without attributes, with duplicate rows and with masks that
+span several machine words.  The walk must also spend at most two
+closures per concept.  The set-bit polar and label kernels are checked
+against the per-bit loops they replaced.
 """
 
 from __future__ import annotations
@@ -53,6 +56,49 @@ def oracle_dot(lat, covers):
     return "\n".join(lines + ["}"]) + "\n"
 
 
+def oracle_next_closure(ctx):
+    """All closed extents in lectic order (label index 0 is most
+    significant): from extent A, the next is the closure of (A below i)
+    plus i, for the largest index i outside A whose closure adds nothing
+    below i."""
+    current = ctx.close_extent_mask(0)
+    extents = [current]
+    while True:
+        for i in range(len(ctx.objects) - 1, -1, -1):
+            if current >> i & 1:
+                continue
+            below = (1 << i) - 1
+            candidate = ctx.close_extent_mask((current & below) | (1 << i))
+            if candidate & below == current & below:
+                current = candidate
+                break
+        else:
+            return tuple(extents)
+        extents.append(current)
+
+
+def oracle_polar_covers(ctx, extents):
+    """Lindig's upper neighbours, each candidate found by its polar: for
+    each extent A with intent B, an object g outside A gives the extent
+    (B & row_g)'; g stops being minimal when that extent holds another
+    object still marked minimal."""
+    rows = ctx._masks[0]
+    index = {e: i for i, e in enumerate(extents)}
+    edges = []
+    for i, extent in enumerate(extents):
+        intent = ctx._polar(extent, 0)
+        minimal = rest = (1 << len(ctx.objects)) - 1 & ~extent
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            upper = ctx._polar(intent & rows[low.bit_length() - 1], 1)
+            if upper & minimal & ~low:
+                minimal ^= low
+            else:
+                edges.append((i, index[upper]))
+    return tuple(sorted(edges))
+
+
 def oracle_polar(ctx, mask, side):
     """The per-bit polar: every bit position up to the highest set bit."""
     n, m = len(ctx.objects), len(ctx.attributes)
@@ -97,6 +143,51 @@ def test_lattice_matches_dense_oracles():
         assert lat.top.extent == ctx.objects
         assert lat.covers() == oracle_covers(want)
         assert np.array_equal(np.array(lat.order, dtype=bool), np.array(want, dtype=bool))
+
+
+def walk_contexts():
+    """305 contexts: without objects and/or attributes, 130 objects (masks
+    of three machine words), then densities 0.05-0.95 with every fourth
+    context's rows drawn with repeats."""
+    rng = random.Random(47)
+    yield from (random_context(rng, n, m) for n, m in ((0, 0), (0, 4), (4, 0)))
+    yield from (random_context(rng, 130, m, 0.5) for m in (5, 8))
+    for k in range(300):
+        ctx = random_context(rng, rng.randint(0, 12), rng.randint(0, 10), rng.uniform(0.05, 0.95))
+        if k % 4 == 0:
+            rows = tuple(rng.choice(ctx.incidence) for _ in ctx.incidence)
+            ctx = Context(ctx.objects, ctx.attributes, rows)
+        yield ctx
+
+
+def test_walk_and_covers_match_next_closure_and_polar_covers():
+    for ctx in walk_contexts():
+        lat = enumerate_concepts(ctx)
+        extents = oracle_next_closure(ctx)
+        assert lat.extent_masks == extents
+        assert [(c.extent, c.intent) for c in lat.concepts] == [
+            (oracle_labels(ctx, e, 0), oracle_labels(ctx, oracle_polar(ctx, e, 0), 1)) for e in extents
+        ]
+        covers = oracle_polar_covers(ctx, extents)
+        assert lat.covers() == covers
+        assert export_dot(lat) == oracle_dot(lat, covers)
+
+
+@pytest.mark.parametrize("n, m, seed", [(30, 30, 3), (40, 20, 7)])
+def test_walk_spends_at_most_two_closures_per_concept(monkeypatch, n, m, seed):
+    ctx = random_context(random.Random(seed), n, m, 0.5)
+    close = Context.close_extent_mask
+    calls = []
+    monkeypatch.setattr(Context, "close_extent_mask", lambda self, mask: calls.append(mask) or close(self, mask))
+    lat = enumerate_concepts(ctx)
+    assert len(lat) > 1000 and len(calls) <= 2 * len(lat)
+
+
+def test_three_thousand_objects_match_the_oracles():
+    ctx = random_context(random.Random(53), 3000, 2, 0.5)
+    lat = enumerate_concepts(ctx)
+    assert lat.extent_masks == oracle_next_closure(ctx) and len(lat) == 4
+    assert lat.covers() == oracle_polar_covers(ctx, lat.extent_masks)
 
 
 def test_order_is_built_only_when_read():
