@@ -131,7 +131,12 @@ def _check(args: argparse.Namespace, f1: SampledFunction, f2: SampledFunction) -
 
 
 def _compose(args: argparse.Namespace, first, second) -> str:
-    (rows, _, a), (_, cols, b) = first, second
+    (rows, inner_a, a), (inner_b, cols, b) = first, second
+    # inner objects pair by label; sizes that differ are compose_profunctors' error
+    if len(inner_a) == len(inner_b) and inner_a != inner_b:
+        raise ValueError(
+            f"{args.first}, {args.second}: inner labels differ: columns {list(inner_a)} vs rows {list(inner_b)}"
+        )
     return render_matrix_csv(rows, cols, compose_profunctors(a, b))
 
 
@@ -257,7 +262,10 @@ def run(argv: list[str]) -> int:
         if args.out:
             Path(args.out).write_text(text, encoding="utf-8")
         else:
-            sys.stdout.write(text)
+            try:
+                sys.stdout.write(text)  # encodes the whole text before writing any of it
+            except UnicodeEncodeError as e:
+                raise ValueError(f"stdout cannot encode {e.object[e.start]!r} as {e.encoding}; give --out") from None
         return code
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

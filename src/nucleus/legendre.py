@@ -2,15 +2,22 @@
 
 A sampled function is a finite strictly increasing grid of abscissae
 with one extended-real value per point; it stands for the function that
-equals its samples on the grid and +inf elsewhere.  The conjugate of a
-primal function against a grid of slopes is ``max_x (k*x - f(x))`` with
+equals its samples on the grid and +inf elsewhere.  It is core's
+``EXT_REAL`` vector on the grid, on the PRE side when primal and the
+OPCO side when dual, and all but the transforms is core's on it.  The
+source paper's R-bar-structure on function spaces, a distance that is
+asymmetric and can be negative, is :func:`~nucleus.core.hom_distance`:
+``climb_distance`` on PRE, ``fall_distance`` on OPCO.  Its two tropical
+module structures are ``cvx_scale``, :func:`~nucleus.core.tensor_each`
+and :func:`~nucleus.core.residuate_each`; ``pointwise_sup`` and
+``pointwise_inf`` are :func:`~nucleus.core.pointwise_meet` and
+:func:`~nucleus.core.pointwise_join`.
+
+The conjugate against a grid of slopes is ``max_x (k*x - f(x))`` with
 the subtraction taken from the saturating tables, and the reverse
 transform mirrors it.  Conjugating twice gives the largest convex
-minorant representable on the chosen slope grid; an independent
-geometric lower-hull routine is provided as a cross-check, along with
-the asymmetric climb/fall distances, the duality identities as
-checkable reports, and the two scalar actions that make convex
-functions a module over (min, +).
+minorant representable on the slope grid; a geometric lower hull
+cross-checks it, and the duality identities are checkable reports.
 
 The transforms are push and pull over the pairing M(x, k) = k*x, and
 both run one kernel with the roles of points and slopes swapped: the
@@ -27,9 +34,7 @@ rounding, within ``1e-12`` times the scale ``max|k| * max|x| +
 max|f(x)|`` of the inputs (``TRANSFORM_RTOL``).  Inputs where
 ``max|k| * max|x|`` or the spread of the finite values times the spread
 of their abscissae leaves the float range go to the brute force, in
-blocks, and come out bit-identical to it.  All heavy operations run on
-float64 arrays in which IEEE infinities encode the infinite tags (see
-:mod:`nucleus.extreal`).
+blocks, and come out bit-identical to it.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import core
 from . import extreal as ext
 from .core import EXT_REAL, FormatError, LimitKind, SizeMismatchError, adjoint_arrays
 from .extreal import ExtReal
@@ -159,14 +165,13 @@ class Grid:
 
 
 class SampledFunction:
-    """Grid plus one extended-real value per point.
-
-    Values are held as a float64 array (infinities encode the tags);
-    the ExtReal tuple view is materialized lazily so that transform
-    pipelines never build per-cell objects.
+    """Grid plus one extended-real value per point: core's EXT_REAL vector
+    on the grid, on the PRE side for a primal function and the OPCO side
+    for a dual one.  The ExtReal tuple view is built only when read, so
+    transform pipelines never build per-cell objects.
     """
 
-    __slots__ = ("grid", "space", "_array", "_values")
+    __slots__ = ("grid", "space", "_vector")
 
     def __init__(self, grid: Grid, values, space: Space):
         if not isinstance(values, np.ndarray):
@@ -176,21 +181,19 @@ class SampledFunction:
             raise ValueError("need exactly one value per grid point")
         self.grid = grid
         self.space = space
-        self._array = EXT_REAL.encode(arr)
-        self._values: tuple[ExtReal, ...] | None = None
+        side = core.Side.PRE if space is Space.PRIMAL else core.Side.OPCO
+        self._vector = core.PresheafVector(arr, side, EXT_REAL)
 
     @property
     def values(self) -> tuple[ExtReal, ...]:
-        if self._values is None:
-            self._values = ext.from_array(self._array)
-        return self._values
+        return self._vector.values
 
     @property
     def values_array(self) -> np.ndarray:
-        return self._array
+        return self._vector.values_array
 
     def value_at(self, index: int) -> ExtReal:
-        return ext.from_float(float(self._array[index]))
+        return ext.from_float(float(self.values_array[index]))
 
     def __len__(self) -> int:
         return len(self.grid)
@@ -198,11 +201,7 @@ class SampledFunction:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SampledFunction):
             return NotImplemented
-        return (
-            self.space is other.space
-            and self.grid == other.grid
-            and np.array_equal(self._array, other._array)
-        )
+        return self.grid == other.grid and self._vector == other._vector
 
     __hash__ = None
 
@@ -375,15 +374,13 @@ def biconjugate(f: SampledFunction, dual: Grid) -> SampledFunction:
 def climb_distance(f1: SampledFunction, f2: SampledFunction) -> ExtReal:
     """Largest climb from f1 up to f2: max over the grid of f2(x) - f1(x)."""
     _require_pair(f1, f2, Space.PRIMAL, "climb_distance input")
-    diff = ext.sub_arrays(f2.values_array, f1.values_array)
-    return ext.from_float(float(diff.max()))
+    return core.hom_distance(f1._vector, f2._vector)
 
 
 def fall_distance(g1: SampledFunction, g2: SampledFunction) -> ExtReal:
     """Largest fall from g1 down to g2: max over slopes of g1(k) - g2(k)."""
     _require_pair(g1, g2, Space.DUAL, "fall_distance input")
-    diff = ext.sub_arrays(g1.values_array, g2.values_array)
-    return ext.from_float(float(diff.max()))
+    return core.hom_distance(g1._vector, g2._vector)
 
 
 def check_lf_adjunction(
@@ -534,21 +531,15 @@ def default_dual_grid(f: SampledFunction) -> Grid:
 
 def pointwise_sup(fs: Sequence[SampledFunction], grid: Grid | None = None) -> SampledFunction:
     """Pointwise maximum of primal functions; the empty family is constant -inf."""
-    grid = _family_grid(fs, grid)
-    if not fs:
-        return SampledFunction(grid, np.full(len(grid), -np.inf), Space.PRIMAL)
-    return SampledFunction(grid, np.max([f.values_array for f in fs], axis=0), Space.PRIMAL)
+    return _pointwise(core.pointwise_meet, EXT_REAL.top, fs, grid)
 
 
 def pointwise_inf(fs: Sequence[SampledFunction], grid: Grid | None = None) -> SampledFunction:
     """Pointwise minimum of primal functions; the empty family is constant +inf."""
-    grid = _family_grid(fs, grid)
-    if not fs:
-        return SampledFunction(grid, np.full(len(grid), np.inf), Space.PRIMAL)
-    return SampledFunction(grid, np.min([f.values_array for f in fs], axis=0), Space.PRIMAL)
+    return _pointwise(core.pointwise_join, EXT_REAL.bottom, fs, grid)
 
 
-def _family_grid(fs: Sequence[SampledFunction], grid: Grid | None) -> Grid:
+def _pointwise(fold, empty: ExtReal, fs: Sequence[SampledFunction], grid: Grid | None) -> SampledFunction:
     for f in fs:
         _require_space(f, Space.PRIMAL, "family member")
         if grid is None:
@@ -557,7 +548,9 @@ def _family_grid(fs: Sequence[SampledFunction], grid: Grid | None) -> Grid:
             raise SizeMismatchError("functions live on different grids")
     if grid is None:
         raise ValueError("an empty family needs an explicit grid")
-    return grid
+    if not fs:
+        return SampledFunction(grid, np.full(len(grid), empty.to_float()), Space.PRIMAL)
+    return SampledFunction(grid, fold([f._vector for f in fs]).values_array, Space.PRIMAL)
 
 
 def cvx_combine(
@@ -585,12 +578,10 @@ def cvx_scale(kind: LimitKind, a: ExtReal, f: SampledFunction) -> SampledFunctio
     """Scalar actions: TENSOR shifts up by a, COTENSOR subtracts a with the
     residuated table (so subtracting +inf floors at -inf)."""
     _require_space(f, Space.PRIMAL, "scale input")
-    scalar = np.float64(a.to_float())
-    if kind is LimitKind.TENSOR:
-        return SampledFunction(f.grid, ext.add_arrays(f.values_array, scalar), Space.PRIMAL)
-    if kind is LimitKind.COTENSOR:
-        return SampledFunction(f.grid, ext.sub_arrays(f.values_array, scalar), Space.PRIMAL)
-    raise ValueError(f"cvx_scale handles TENSOR and COTENSOR, got {kind!r}")
+    actions = {LimitKind.TENSOR: core.tensor_each, LimitKind.COTENSOR: core.residuate_each}
+    if kind not in actions:
+        raise ValueError(f"cvx_scale handles TENSOR and COTENSOR, got {kind!r}")
+    return SampledFunction(f.grid, actions[kind](a, f._vector).values_array, Space.PRIMAL)
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,17 @@ def test_exit_two_on_incompatible_compose(tmp_path, capsys):
     assert "inner sizes" in capsys.readouterr().err
 
 
+def test_compose_pairs_inner_objects_by_label(tmp_path, capsys):
+    a = write(tmp_path, "a.csv", ",x,y\na,0,1\n")
+    b = write(tmp_path, "b.csv", ",u\ny,5\nx,7\n")
+    assert run(["compose", a, b]) == 2
+    want = f"error: {a}, {b}: inner labels differ: columns ['x', 'y'] vs rows ['y', 'x']\n"
+    assert capsys.readouterr() == ("", want)
+    same = write(tmp_path, "same.csv", ",u\nx,7\ny,5\n")
+    assert run(["compose", a, same]) == 0
+    assert capsys.readouterr().out == ",u\na,6.0\n"
+
+
 def test_exit_two_on_bad_dual_spec(tmp_path, capsys):
     f = write(tmp_path, "f.csv", "x,value\n0.0,0.0\n")
     assert run(["conjugate", f, "--dual", "nonsense"]) == 2
@@ -470,3 +481,14 @@ def test_files_are_utf8_whatever_the_locale(tmp_path):
     done = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
     assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
     assert out.read_bytes() == "({café}, {m})\n".encode()
+
+
+def test_stdout_that_cannot_encode_the_output_is_named(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+    env |= {"LC_ALL": "C", "PYTHONPATH": str(Path(nucleus.__file__).parents[1])}
+    path = tmp_path / "u.cxt"
+    path.write_bytes("B\n\n1\n1\ncafé\nm\nX\n".encode())
+    cmd = [sys.executable, "-X", "utf8=0", "-m", "nucleus", "concepts", str(path)]
+    done = subprocess.run(cmd, capture_output=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == b"error: stdout cannot encode '\\xe9' as ascii; give --out\n"

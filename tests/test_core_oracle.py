@@ -22,6 +22,7 @@ from nucleus import extreal as ext
 from nucleus.core import (
     EXT_REAL,
     TRUTH,
+    LimitKind,
     PresheafVector,
     Profunctor,
     Side,
@@ -37,8 +38,19 @@ from nucleus.core import (
     tensor_each,
     underlying_preorder,
 )
-from nucleus.extreal import NEG_INF, POS_INF, ZERO
-from nucleus.legendre import Grid, SampledFunction, Space, conjugate, reverse_conjugate
+from nucleus.extreal import NEG_INF, POS_INF, ZERO, ExtReal
+from nucleus.legendre import (
+    Grid,
+    SampledFunction,
+    Space,
+    climb_distance,
+    conjugate,
+    cvx_scale,
+    fall_distance,
+    pointwise_inf,
+    pointwise_sup,
+    reverse_conjugate,
+)
 
 fin = ext.finite
 
@@ -137,6 +149,17 @@ def vector(rng, q, n):
     return tuple(cell(rng, q) for _ in range(n))
 
 
+# EXTREME's cells with both signs, -0.0 among them: a SampledFunction
+# reads raw floats, so it meets the negative zero that no ExtReal holds.
+SIGNED = [c for v in EXTREME for c in (v.to_float(), -v.to_float())]
+
+
+def sampled(rng, n, space=Space.PRIMAL):
+    """A function of SIGNED cells on the grid 0..n-1, and the scalars the oracle reads."""
+    cells = [rng.choice(SIGNED) for _ in range(n)]
+    return SampledFunction(Grid(range(n)), cells, space), tuple(map(ext.from_float, cells))
+
+
 QUANTALES = pytest.mark.parametrize("q", [TRUTH, EXT_REAL], ids=["truth", "extreal"])
 
 
@@ -160,6 +183,7 @@ def test_push_pull_match_oracle(q):
 @QUANTALES
 def test_hom_distance_matches_oracle(q):
     rng = random.Random(37)
+    convex = random.Random(38)  # its own stream, so the draws above stay as they were
     for _ in range(400):
         n = rng.randint(1, 5)
         side = rng.choice(list(Side))
@@ -169,6 +193,15 @@ def test_hom_distance_matches_oracle(q):
         assert type(got) is type(want) and got == want
         if q is EXT_REAL and got.is_finite:
             assert math.copysign(1.0, got.value) == math.copysign(1.0, want.value)
+        if q is EXT_REAL:
+            # climb and fall are the homs on the PRE and OPCO sides
+            for space, side, distance in (
+                (Space.PRIMAL, Side.PRE, climb_distance), (Space.DUAL, Side.OPCO, fall_distance)
+            ):
+                (g1, s1), (g2, s2) = sampled(convex, n, space), sampled(convex, n, space)
+                got, want = distance(g1, g2), oracle_hom(q, side, s1, s2)
+                assert type(got) is ExtReal and got == want
+                assert math.copysign(1.0, got.to_float()) == math.copysign(1.0, want.to_float())
 
 
 @QUANTALES
@@ -185,6 +218,7 @@ def test_compose_matches_oracle(q):
 def test_pointwise_and_scalar_actions_match_oracle(q):
     s = SCALAR[q]
     rng = random.Random(43)
+    convex = random.Random(44)  # its own stream, so the draws above stay as they were
     for _ in range(300):
         n = rng.randint(1, 5)
         side = rng.choice(list(Side))
@@ -199,6 +233,20 @@ def test_pointwise_and_scalar_actions_match_oracle(q):
         assert_matches(got.values, got.values_array, tuple(s.tensor(a, v) for v in rows[0]), q)
         got = residuate_each(a, vecs[0])
         assert_matches(got.values, got.values_array, tuple(s.residuate(a, v) for v in rows[0]), q)
+        if q is EXT_REAL:
+            # sup and inf of sampled functions are the meet and join; the
+            # tropical actions are the tensor and the residuation
+            family = [sampled(convex, n) for _ in range(convex.randint(1, 4))]
+            fs, cells = [f for f, _ in family], [c for _, c in family]
+            for op, fold in ((pointwise_sup, s.meet), (pointwise_inf, s.join)):
+                got = op(fs)
+                assert_matches(got.values, got.values_array, tuple(fold(c[i] for c in cells) for i in range(n)), q)
+                got = op([], fs[0].grid)
+                assert_matches(got.values, got.values_array, (fold(()),) * n, q)
+            a = ext.from_float(convex.choice(SIGNED))
+            for kind, act in ((LimitKind.TENSOR, s.tensor), (LimitKind.COTENSOR, s.residuate)):
+                got = cvx_scale(kind, a, fs[0])
+                assert_matches(got.values, got.values_array, tuple(act(a, v) for v in cells[0]), q)
 
 
 def test_rspace_checks_match_oracle():
