@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -141,17 +140,14 @@ def _compose(args: argparse.Namespace, first, second) -> str:
 
 
 def _plotdata(args: argparse.Namespace, f: SampledFunction) -> str:
-    lines = []
-    omitted = []
-    for x, v in zip(f.grid.as_array.tolist(), f.values_array.tolist()):
-        if math.isfinite(v):
-            lines.append(f"{x!r}\t{ext.render_float(v)}")
-        else:
-            omitted.append(x)
+    xs, vs = f.grid.as_array, f.values_array
+    finite = np.isfinite(vs)
+    text = "".join([f"{x!r}\t{v!r}\n" for x, v in zip(xs[finite].tolist(), vs[finite].tolist())])
+    omitted = xs[~finite].tolist()
     if omitted:
         shown = ", ".join(f"x={x!r}" for x in omitted)
-        lines.append(f"# omitted {len(omitted)} infinite samples: {shown}")
-    return "\n".join(lines) + "\n"
+        text += f"# omitted {len(omitted)} infinite samples: {shown}\n"
+    return text
 
 
 class _Verb(NamedTuple):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
@@ -95,6 +96,9 @@ class ExtReal:
         return render(self)
 
 
+# the slot's own setter, which the frozen dataclass's __setattr__ would refuse
+_set_cell = ExtReal._cell.__set__
+
 NEG_INF = ExtReal(Tag.NEG_INF)
 POS_INF = ExtReal(Tag.POS_INF)
 ZERO = ExtReal(Tag.FINITE, 0.0)
@@ -110,7 +114,7 @@ def from_float(x: float) -> ExtReal:
         raise ValueError("NaN has no extended-real meaning")
     out = object.__new__(ExtReal)
     # canonical zero keeps fold results and rendering deterministic
-    object.__setattr__(out, "_cell", float(x) + 0.0)
+    _set_cell(out, float(x) + 0.0)
     return out
 
 
@@ -195,16 +199,22 @@ def parse(token: str) -> ExtReal:
     ``infinity``, and literals beyond the float range (``1e400``) as the
     matching infinity.  NaN and digit-group underscores are refused."""
     try:
-        return from_float(_real(token))
+        v = _real(token)
+        if v != v:
+            raise ValueError
     except ValueError:
         raise ValueError(f"not an extended real: {token!r}") from None
+    # from_float's body, inlined: this runs once per value cell of a file
+    out = object.__new__(ExtReal)
+    _set_cell(out, v + 0.0)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Array bridge: vectors of values are float64 arrays of their cells.
 
 def to_array(values: Iterable[ExtReal]) -> np.ndarray:
-    return np.array([v.to_float() for v in values], dtype=np.float64)
+    return np.array(list(map(attrgetter("_cell"), values)), dtype=np.float64)
 
 
 def from_array(arr: np.ndarray) -> tuple[ExtReal, ...]:

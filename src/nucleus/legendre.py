@@ -43,7 +43,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Sequence
+from itertools import compress, repeat
+from operator import itemgetter
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -232,7 +234,8 @@ class DualityReport:
             "rhs": ext.render(self.rhs),
             "relation": self.relation.value,
             "holds": self.holds,
-            "tolerance": self.tolerance,
+            # JSON has no infinity: an infinite tolerance is spelt as lhs and rhs spell one
+            "tolerance": self.tolerance if math.isfinite(self.tolerance) else ext.render_float(self.tolerance),
             "status": self.status.value,
         }
 
@@ -590,7 +593,45 @@ def cvx_scale(kind: LimitKind, a: ExtReal, f: SampledFunction) -> SampledFunctio
 # abscissae are rejected.
 
 def parse_function_csv(text: str, space: Space = Space.PRIMAL) -> SampledFunction:
-    rows: list[tuple[float, float, int]] = []
+    """The function a two-column ``x,value`` file spells, its rows sorted
+    by abscissa.  Lines are split as ``str.splitlines`` splits them and
+    cells stripped as ``str.strip`` strips them; blank lines are skipped,
+    and a first line reading ``x,value`` (any case, spaces ignored) is a
+    header.  A cell is read by the token rule of :func:`~nucleus.extreal.parse`:
+    Python's ``float``, digit-group underscores and NaN refused, and an
+    abscissa must be finite and unique.  A malformed file raises the
+    ``FormatError`` of its first fault in file order, with the line
+    (counting blank lines) and field; a file without rows has no line,
+    and the smallest repeated abscissa is reported at its second line.
+
+    The file is read in whole-column passes; only a file it refuses is
+    read again row by row, to name the fault.
+    """
+    lines = list(map(str.strip, text.splitlines()))
+    rows = list(compress(lines, lines))
+    if rows and rows[0].lower().replace(" ", "") == "x,value":
+        del rows[0]
+    joined = ",".join(rows)
+    # a count per row: a 1-cell row and a 3-cell row would balance in a total
+    if not rows or "_" in joined or list(map(str.count, rows, repeat(","))).count(1) != len(rows):
+        _raise_first_fault(text)
+    cells = list(map(str.strip, joined.split(",")))
+    try:
+        xs = np.array(list(map(float, cells[0::2])))
+        vs = ext.to_array(map(ext.parse, cells[1::2]))
+    except ValueError:
+        _raise_first_fault(text)
+    order = np.argsort(xs, kind="stable")
+    xs, vs = xs[order], vs[order]
+    if not np.isfinite(xs).all() or (xs[1:] == xs[:-1]).any():
+        _raise_first_fault(text)
+    return SampledFunction(Grid(xs), vs, space)
+
+
+def _raise_first_fault(text: str) -> NoReturn:
+    """Raise the first ``FormatError`` of a file that
+    :func:`parse_function_csv` refused, reading it one row at a time."""
+    rows: list[tuple[float, int]] = []
     seen_content = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -610,21 +651,22 @@ def parse_function_csv(text: str, space: Space = Space.PRIMAL) -> SampledFunctio
         if not math.isfinite(x):
             raise FormatError("abscissae must be finite", line=lineno, field="x")
         try:
-            v = ext.parse(cells[1])
+            ext.parse(cells[1])
         except ValueError as e:
             raise FormatError(str(e), line=lineno, field="value") from None
-        rows.append((x, v.to_float(), lineno))
+        rows.append((x, lineno))
     if not rows:
         raise FormatError("function file has no samples")
-    table = np.array(rows)
-    table = table[np.argsort(table[:, 0], kind="stable")]
-    dup = np.flatnonzero(table[1:, 0] == table[:-1, 0])
-    if dup.size:
-        x2, _, ln = table[dup[0] + 1].tolist()
-        raise FormatError(f"duplicate abscissa {x2!r}", line=int(ln), field="x")
-    return SampledFunction(Grid(table[:, 0]), table[:, 1], space)
+    rows.sort(key=itemgetter(0))
+    # every other fault is raised above, so the refused file repeats an abscissa
+    x2, ln = next((x2, ln) for (x1, _), (x2, ln) in zip(rows, rows[1:]) if x1 == x2)
+    raise FormatError(f"duplicate abscissa {x2!r}", line=ln, field="x")
 
 
 def render_function_csv(f: SampledFunction) -> str:
-    cells = map(ext.render_float, f.values_array.tolist())
-    return "x,value\n" + "".join(f"{x!r},{v}\n" for x, v in zip(f.grid.as_array.tolist(), cells))
+    """The ``x,value`` text of ``f``, header included, one row per sample
+    in grid order: each cell as its shortest round-trip ``repr``, ``inf``
+    and ``-inf`` for the infinities and ``-0.0`` kept, so that the token
+    rule of :func:`parse_function_csv` reads back an equal function."""
+    rows = zip(f.grid.as_array.tolist(), f.values_array.tolist())
+    return "x,value\n" + "".join([f"{x!r},{v!r}\n" for x, v in rows])

@@ -118,6 +118,12 @@ def test_check_json_report(fig_pair, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["relation"] == "GEQ" and doc["holds"] is True
     assert doc["lhs"] == "1.0" and doc["rhs"] == "1.0"
+    # an infinite tolerance is the string "inf", as lhs and rhs spell one: JSON has no Infinity
+    assert run(["check", "short", f1, f2, "--dual", "-1:1:0.25", "--tol", "inf", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=lambda name: pytest.fail(f"{name} in JSON"))
+    assert doc["tolerance"] == "inf"
+    assert run(["check", "short", f1, f2, "--dual", "-1:1:0.25", "--tol", "inf"]) == 0
+    assert "\ntolerance inf\n" in capsys.readouterr().out
 
 
 def test_check_adjunction_verb(tmp_path, capsys):

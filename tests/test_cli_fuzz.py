@@ -2,13 +2,15 @@
 
 Every run must end in exit status 0, 1 or 2: no exception may escape
 ``cli.run`` and no warning may be raised or printed, whatever the files
-hold.
+hold.  A ``--json`` report must be strict JSON, without the ``Infinity``
+or ``NaN`` that Python's ``json`` writes and reads by default.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import tempfile
 import warnings
 from pathlib import Path
@@ -70,6 +72,10 @@ def context_text(draw):
     return "\n".join(["," + ",".join(attributes), *rows]) + "\n"
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
 DUAL = token(["auto", "-1:1:0.5", "-2:2:1", "0:0:1"], ["1:0:1", "-1e6:1e6:1e-6", "0:1:0", "a:b", "0:1:nan"])
 TOL = token(["1e-9", "0", "0.5", "inf"], ["nan", "-1", "-inf", "x"])
 
@@ -82,14 +88,15 @@ def verb_forms(draw):
     g = {"g.csv": draw(function_csv(xs if draw(st.booleans()) else draw(ABSCISSAE)))}
     ctx, mats = {"c.cxt": draw(context_text())}, {"a.csv": draw(matrix_csv()), "b.csv": draw(matrix_csv())}
     dual, tol = ["--dual", draw(DUAL)], ["--tol", draw(TOL)]
+    json_flag = draw(st.sampled_from([[], ["--json"]]))
     return [
         (["tables"], {}),
         (["conjugate", "f.csv", *dual], f),
         (["biconjugate", "f.csv", *dual], f),
         (["hull", "f.csv"], f),
         (["distance", "f.csv", "g.csv"], f | g),
-        (["check", "adjunction", "f.csv", "g.csv", *tol, *draw(st.sampled_from([[], dual]))], f | g),
-        (["check", "short", "f.csv", "g.csv", *dual, *tol], f | g),
+        (["check", "adjunction", "f.csv", "g.csv", *tol, *draw(st.sampled_from([[], dual])), *json_flag], f | g),
+        (["check", "short", "f.csv", "g.csv", *dual, *tol, *json_flag], f | g),
         (["check", "toland-singer", "f.csv", "g.csv", *dual, *tol, "--json"], f | g),
         (["concepts", "c.cxt"], ctx),
         (["lattice", "c.cxt"], ctx),
@@ -118,5 +125,7 @@ def test_random_files_through_every_verb_form():
                 assert not caught, [str(w.message) for w in caught]
                 assert "warning" not in err.getvalue().lower()
                 assert (code == 2) == bool(err.getvalue()), err.getvalue()
+                if "--json" in argv and code != 2:
+                    json.loads(out.getvalue(), parse_constant=_refuse_constant)
 
         check()

@@ -78,7 +78,11 @@ def oracle_function_csv(text: str) -> tuple[np.ndarray, np.ndarray]:
 NUMBERS = ["0", "0.0", "-0.0", "+0", "1", "-1", "2.5", "-3.25", "1e-320", "1e400", "-1e400", "7e308"]
 SPECIAL = ["inf", "+inf", "-inf", "INF", "+Inf", "-iNf", "Infinity", "-infinity", "nan", "NaN", "-nan"]
 JUNK = ["1_0", "1_000.5", "-2_5", "_1", "abc", "", "1..2", "0x10", "1e", "--1"]
-PAD = st.sampled_from(["", " ", "  ", "\t"])
+# whitespace that str.strip strips: \x0c also ends a line, and float does
+# not strip \x1f, so a reader that hands float unstripped cells refuses it
+PAD = st.sampled_from(["", " ", "  ", "\t", "\x0c", "\xa0", "\u2003", "\x1f"])
+# line breaks of str.splitlines beyond \n and \r\n
+NEWLINES = ["\n", "\r\n", "\x0b", "\x1c", "\x85", "\u2028"]
 
 
 @st.composite
@@ -101,14 +105,14 @@ def function_file(draw):
     for _ in range(draw(st.integers(0, 8))):
         kind = draw(st.integers(0, 19))
         if kind == 0:
-            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+            lines.append(draw(st.sampled_from(["", "   ", "\t", "\xa0\u2003"])))
         elif kind == 1:
             lines.append(",".join(draw(st.lists(token(NUMBERS), min_size=1, max_size=3).filter(lambda c: len(c) != 2))))
         else:
             x = draw(token(abscissae + ["inf", "nan", "1_0", "abc"] if kind == 2 else abscissae))
             v = draw(token(NUMBERS + SPECIAL + JUNK if kind == 3 else NUMBERS + SPECIAL[:7]))
             lines.append(f"{x},{v}")
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(NEWLINES))
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
@@ -146,6 +150,31 @@ def test_function_reader_refuses_digit_group_underscores(text, line, field):
     with pytest.raises(FormatError) as e:
         parse_function_csv(text)
     assert (e.value.line, e.value.field) == (line, field)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # the two rows' commas balance in a total count, not row by row
+        ("0\n1,2,3\n", "line 1: expected 2 cells, found 1"),
+        ("x,value\n0,1\nnan,2\n3,4\n", "line 3, field 'x': abscissae must be finite"),
+        ("x,value\n0,1\n\ninf,2\n3,4\n", "line 4, field 'x': abscissae must be finite"),
+        ("0,1\n2,3\n1e400,2\n", "line 3, field 'x': abscissae must be finite"),
+        ("1_0,1\n2,3\n4,5\n", "line 1, field 'x': bad abscissa '1_0'"),
+    ],
+)
+def test_function_reader_names_the_only_fault(text, message):
+    with pytest.raises(FormatError) as e:
+        parse_function_csv(text)
+    assert str(e.value) == message
+    oracle = pytest.raises(FormatError, oracle_function_csv, text)
+    assert str(oracle.value) == message
+
+
+def test_function_reader_strips_cells_as_str_strip_does():
+    f = parse_function_csv("x,value\n\x1f1\x1f,\x1f-0.0\x1f\n\xa00\u2003,\u20032\xa0\n")
+    assert f.grid.points == (0.0, 1.0)
+    assert f.values_array.tobytes() == np.array([2.0, 0.0]).tobytes()
 
 
 def test_function_reader_reads_overflow_and_infinity_as_infinities():
