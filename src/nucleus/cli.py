@@ -30,6 +30,7 @@ from . import extreal as ext
 from .core import FormatError, SizeMismatchError, compose_profunctors, parse_matrix_csv, render_matrix_csv
 from .galois import enumerate_concepts, export_dot, parse_context_csv, parse_cxt
 from .legendre import (
+    DEFAULT_TOL,
     Grid,
     SampledFunction,
     Space,
@@ -179,7 +180,7 @@ _VERBS = {
         "verify a duality identity; exit 0 iff it holds", _check, ("first", "second"), _FUNCTION, (
             ("kind", {"choices": ["adjunction", "short", "toland-singer"]}),
             ("--dual", {"help": _DUAL_HELP}),
-            ("--tol", {"type": _flag_real, "default": 1e-9, "help": "tolerance on finite values"}),
+            ("--tol", {"type": _flag_real, "default": DEFAULT_TOL, "help": "tolerance on finite values"}),
             ("--json", {"action": "store_true", "help": "emit the report as JSON"}),
         )),
     "concepts": _Verb(

@@ -2,16 +2,18 @@
 
 The polars of the relation form a Galois connection between subsets of
 objects and subsets of attributes; the pairs fixed by both closures are
-the concepts.  Subsets are bitmask integers, and one polar kernel serves
-both sides (0 the objects, 1 the attributes), walking only the set bits.
-FCbO enumerates every concept once, keeping the intents found so far in
-a table, so a candidate already generated costs one lookup, not a
-closure.  A lattice keeps the concepts with their extent masks and the
-context, builds the inclusion order only when read, and takes its covers
-from each concept's upper neighbours (Lindig, "Fast Concept Analysis",
-2000), found by intent in a table as well.  Meets intersect extents,
-joins close the union.  A context's CSV form is core's labelled table
-with 0/1 cells.
+the concepts.  A context holds the relation as one read-only bool array
+in core's TRUTH encoding, which ``to_profunctor`` wraps.  Subsets are
+bitmask integers, and one polar kernel serves both sides (0 the objects,
+1 the attributes) from the array's rows and columns packed into masks,
+walking only the set bits.  FCbO enumerates every concept once, keeping
+the intents found so far in a table, so a candidate already generated
+costs one lookup, not a closure.  A lattice keeps the concepts with
+their extent masks and the context, builds the inclusion order only when
+read, and takes its covers from each concept's upper neighbours (Lindig,
+"Fast Concept Analysis", 2000), found by intent in a table as well.
+Meets intersect extents, joins close the union.  A context's CSV form is
+core's labelled table with 0/1 cells.
 """
 
 from __future__ import annotations
@@ -53,29 +55,45 @@ class NotAConceptError(ValueError):
     """An (extent, intent) pair that is not closed under the polars."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Context:
-    """Objects, attributes and a boolean incidence matrix between them."""
+    """Objects, attributes and their incidence as one read-only bool array in
+    TRUTH's encoding, a row per object, given as such or as rows of truth
+    values (0/1 included).  ``incidence`` is its tuple view, built when read;
+    the polars read its rows and columns packed once into bitmask integers."""
 
     objects: tuple[str, ...]
     attributes: tuple[str, ...]
-    incidence: tuple[tuple[bool, ...], ...]
+    incidence_array: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "objects", tuple(self.objects))
         object.__setattr__(self, "attributes", tuple(self.attributes))
-        object.__setattr__(
-            self, "incidence", tuple(tuple(bool(c) for c in row) for row in self.incidence)
-        )
         if len(set(self.objects)) != len(self.objects):
             raise ValueError("object labels must be unique")
         if len(set(self.attributes)) != len(self.attributes):
             raise ValueError("attribute labels must be unique")
-        if len(self.incidence) != len(self.objects):
-            raise ValueError("incidence must have one row per object")
-        for row in self.incidence:
-            if len(row) != len(self.attributes):
-                raise ValueError("incidence must have one column per attribute")
+        shape = (len(self.objects), len(self.attributes))
+        grid = np.array(self.incidence_array, dtype=bool)
+        if grid.shape == (0,):  # no rows, so no width to read
+            grid = grid.reshape(0, shape[1])
+        if grid.shape != shape:
+            raise ValueError("incidence must have one row per object and one column per attribute")
+        grid.setflags(write=False)
+        object.__setattr__(self, "incidence_array", grid)
+
+    @cached_property
+    def incidence(self) -> tuple[tuple[bool, ...], ...]:
+        return tuple(map(tuple, self.incidence_array.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Context):
+            return False
+        same_labels = (self.objects, self.attributes) == (other.objects, other.attributes)
+        return same_labels and np.array_equal(self.incidence_array, other.incidence_array)
+
+    def __hash__(self) -> int:
+        return hash((self.objects, self.attributes, self.incidence_array.tobytes()))
 
     @classmethod
     def from_pairs(
@@ -84,10 +102,10 @@ class Context:
         attributes: Sequence[str],
         pairs: Iterable[tuple[str, str]],
     ) -> "Context":
-        blank = cls(objects, attributes, [[False] * len(attributes)] * len(objects))
-        grid = [[False] * len(attributes) for _ in objects]
+        blank = cls(objects, attributes, np.zeros((len(objects), len(attributes)), dtype=bool))
+        grid = blank.incidence_array.copy()
         for g, m in pairs:
-            grid[blank._position(g, 0)][blank._position(m, 1)] = True
+            grid[blank._position(g, 0), blank._position(m, 1)] = True
         return cls(blank.objects, blank.attributes, grid)
 
     @cached_property
@@ -97,7 +115,7 @@ class Context:
     @cached_property
     def _masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         # side 0: per object, the mask of its attributes; side 1: per attribute, its objects
-        grid = np.array(self.incidence, dtype=bool).reshape(len(self.objects), len(self.attributes))
+        grid = self.incidence_array
         packed = (np.packbits(g, axis=1, bitorder="little") for g in (grid, grid.T))
         return tuple(tuple(int.from_bytes(row.tobytes(), "little") for row in side) for side in packed)
 
@@ -158,7 +176,7 @@ class Context:
     def to_profunctor(self):
         """The incidence relation as a truth-valued profunctor, for use with
         the generic push/pull machinery."""
-        return Profunctor(self.incidence, TRUTH)
+        return Profunctor(self.incidence_array, TRUTH)
 
 
 @dataclass(frozen=True)
@@ -198,11 +216,10 @@ def _concept_from_extent_mask(ctx: Context, extent_mask: int) -> Concept:
 
 def is_concept(ctx: Context, concept: Concept) -> bool:
     try:
-        e = ctx.object_mask(concept.extent)
-        i = ctx.attribute_mask(concept.intent)
-    except UnknownLabelError:
+        _extent_mask(ctx, concept)
+    except NotAConceptError:
         return False
-    return ctx.polar_up_mask(e) == i and ctx.polar_down_mask(i) == e
+    return True
 
 
 def _lectic_closed_extents(ctx: Context) -> list[tuple[int, int]]:
@@ -318,9 +335,20 @@ def enumerate_concepts(ctx: Context) -> ConceptLattice:
 
 
 def _extent_mask(ctx: Context, concept: Concept) -> int:
-    if not is_concept(ctx, concept):
+    """The extent mask of a concept of the context: each side's labels known,
+    in context order without repeats, and each side the other's polar."""
+    masks = [0, 0]
+    for side, labels in enumerate((concept.extent, concept.intent)):
+        index = ctx._index[side]
+        for label in labels:
+            i = index.get(label, -1)
+            if i < 0 or masks[side] >> i:  # unknown, or not after every label before it
+                raise NotAConceptError(f"not a concept of this context: {concept}")
+            masks[side] |= 1 << i
+    extent, intent = masks
+    if ctx.polar_up_mask(extent) != intent or ctx.polar_down_mask(intent) != extent:
         raise NotAConceptError(f"not a concept of this context: {concept}")
-    return ctx.object_mask(concept.extent)
+    return extent
 
 
 def lattice_meet(ctx: Context, c1: Concept, c2: Concept) -> Concept:
@@ -355,63 +383,60 @@ def export_dot(lattice: ConceptLattice) -> str:
 
 def parse_cxt(text: str) -> Context:
     lines = text.splitlines()
-    pos = 0
+    marked = next((n for n, raw in enumerate(lines) if raw.strip()), None)
+    if marked is None:
+        raise FormatError("unexpected end of file while reading the format marker")
+    if lines[marked].strip() != "B":
+        raise FormatError("expected Burmeister marker 'B'", line=marked + 1)
+    if marked + 1 == len(lines):
+        raise FormatError("unexpected end of file while reading the name line")
+    # the lines after the name line that are not blank, stripped, with their numbers
+    body = [(n, ln) for n, ln in enumerate(map(str.strip, lines[marked + 2:]), start=marked + 3) if ln]
 
-    def next_line(what: str, skip_blank: bool) -> tuple[int, str]:
-        nonlocal pos
-        while pos < len(lines):
-            lineno, raw = pos + 1, lines[pos]
-            pos += 1
-            if skip_blank and not raw.strip():
-                continue
-            return lineno, raw
-        raise FormatError(f"unexpected end of file while reading {what}")
-
-    lineno, magic = next_line("the format marker", skip_blank=True)
-    if magic.strip() != "B":
-        raise FormatError("expected Burmeister marker 'B'", line=lineno)
-    next_line("the name line", skip_blank=False)
-
+    whats = ("object count", "attribute count")
     counts = []
-    for what in ("object count", "attribute count"):
-        lineno, raw = next_line(what, skip_blank=True)
+    for what, (lineno, ln) in zip(whats, body):
         try:
-            counts.append(int(raw.strip()))
+            counts.append(int(ln))
         except ValueError:
-            raise FormatError(f"expected {what}, got {raw!r}", line=lineno) from None
+            raise FormatError(f"expected {what}, got {lines[lineno - 1]!r}", line=lineno) from None
         if counts[-1] < 0:
             raise FormatError(f"{what} may not be negative", line=lineno)
+    if len(counts) < 2:
+        raise FormatError(f"unexpected end of file while reading {whats[len(counts)]}")
     n_obj, n_attr = counts
-
-    objects = [next_line("an object name", skip_blank=True)[1].strip() for _ in range(n_obj)]
-    attributes = [next_line("an attribute name", skip_blank=True)[1].strip() for _ in range(n_attr)]
 
     # without attributes the incidence rows are empty lines, indistinguishable
     # from separators, so none are read
-    rows = [] if n_attr else [()] * n_obj
-    for _ in range(n_obj if n_attr else 0):
-        lineno, raw = next_line("an incidence row", skip_blank=True)
-        row = raw.strip()
+    n_rows, end = n_obj if n_attr else 0, 2 + n_obj + n_attr
+    names, rows, rest = [ln for _, ln in body[2:end]], body[end:end + n_rows], body[end + n_rows:]
+    for lineno, row in rows:
         if len(row) != n_attr:
-            raise FormatError(
-                f"incidence row has {len(row)} cells, expected {n_attr}", line=lineno
-            )
-        bad = [ch for ch in row if ch not in "Xx."]
-        if bad:
+            raise FormatError(f"incidence row has {len(row)} cells, expected {n_attr}", line=lineno)
+        if bad := row.translate(_CXT_CELLS):
             raise FormatError(f"incidence cells must be 'X' or '.', got {bad[0]!r}", line=lineno)
-        rows.append(tuple(ch != "." for ch in row))
+    if len(names) < n_obj + n_attr or len(rows) < n_rows:
+        what = ("an object name" if len(names) < n_obj
+                else "an attribute name" if len(names) < end - 2 else "an incidence row")
+        raise FormatError(f"unexpected end of file while reading {what}")
+    cells = np.frombuffer("".join(row for _, row in rows).encode(), dtype=np.uint8).reshape(n_obj, n_attr)
     try:
-        return Context(tuple(objects), tuple(attributes), tuple(rows))
+        ctx = Context(names[:n_obj], names[n_obj:], cells != ord("."))
     except ValueError as e:
         raise FormatError(str(e)) from None
+    if rest:
+        raise FormatError(f"unexpected line after the incidence rows: {rest[0][1]!r}", line=rest[0][0])
+    return ctx
+
+
+_CXT_CELLS = str.maketrans("", "", "Xx.")
 
 
 def render_cxt(ctx: Context) -> str:
     out = ["B", "", str(len(ctx.objects)), str(len(ctx.attributes))]
     out.extend(ctx.objects)
     out.extend(ctx.attributes)
-    for row in ctx.incidence:
-        out.append("".join("X" if c else "." for c in row))
+    out.extend(map("".join, np.where(ctx.incidence_array, "X", ".").tolist()))
     return "\n".join(out) + "\n"
 
 
@@ -431,5 +456,5 @@ def parse_context_csv(text: str) -> Context:
 
 
 def render_context_csv(ctx: Context) -> str:
-    rows = (("1" if c else "0" for c in row) for row in ctx.incidence)
+    rows = np.where(ctx.incidence_array, "1", "0").tolist()
     return render_labelled_csv(ctx.objects, ctx.attributes, rows)

@@ -79,7 +79,8 @@ __all__ = [
     "render_function_csv",
 ]
 
-DEFAULT_TOL = 1e-9
+# The extended reals' fixedness tolerance, the default of every check.
+DEFAULT_TOL = EXT_REAL.default_fixed_tol
 # Finite transform values agree with the brute force within this multiple
 # of max|k| * max|x| + max|f(x)| (see the module docstring).
 TRANSFORM_RTOL = 1e-12

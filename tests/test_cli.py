@@ -371,6 +371,13 @@ def test_attribute_free_cxt_error_names_the_file(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {path}: object labels must be unique\n"
 
 
+def test_cxt_line_after_the_incidence_rows_names_file_and_line(tmp_path, capsys):
+    path = write(tmp_path, "tail.cxt", "B\n\n1\n1\ng\nm\nX\n.\nX\nfoo bar\n")
+    assert run(["concepts", path]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: line 8: unexpected line after the incidence rows: '.'\n"
+
+
 def test_python_dash_m_runs_the_cli():
     env = {**os.environ, "PYTHONPATH": str(Path(nucleus.__file__).parents[1])}
 

@@ -5,7 +5,10 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nucleus.core import TRUTH, FormatError, PresheafVector, Profunctor, Side, pull, push
 from nucleus.galois import (
@@ -242,6 +245,52 @@ def test_lattice_meet_join_examples():
         lattice_meet(WORKED, Concept(("1",), ("a",)), c_mid)
 
 
+def test_is_concept_wants_the_context_order_labels():
+    lat = enumerate_concepts(WORKED)
+    for fake in (
+        Concept(("1", "2", "2"), ("a",)),  # a repeated object
+        Concept(("2", "1"), ("a",)),  # objects out of order
+        Concept(("2",), ("b", "a")),  # attributes out of order
+        Concept(("1", "2"), ("a", "a")),  # a repeated attribute
+        Concept(("1", "2"), ("a", "zz")),  # an unknown label
+    ):
+        assert not is_concept(WORKED, fake) and fake not in lat.concepts
+        with pytest.raises(NotAConceptError):
+            lattice_meet(WORKED, fake, lat.top)
+        with pytest.raises(NotAConceptError):
+            lattice_join(WORKED, lat.bottom, fake)
+    assert all(is_concept(WORKED, c) for c in lat.concepts)
+
+
+@st.composite
+def context_and_pair(draw):
+    """A small context and a pair whose labels all come from it, in any
+    order and with repeats; half the time a true concept, reshuffled."""
+    n, m = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=m, max_size=m), min_size=n, max_size=n))
+    ctx = Context(tuple(f"g{i}" for i in range(n)), tuple(f"m{j}" for j in range(m)), rows)
+    if draw(st.booleans()):
+        concept = draw(st.sampled_from(enumerate_concepts(ctx).concepts))
+        extent, intent = draw(st.permutations(concept.extent)), draw(st.permutations(concept.intent))
+    else:
+        extent = draw(st.lists(st.sampled_from(ctx.objects), max_size=n + 1)) if n else []
+        intent = draw(st.lists(st.sampled_from(ctx.attributes), max_size=m + 1)) if m else []
+    return ctx, Concept(tuple(extent), tuple(intent))
+
+
+@settings(max_examples=300, deadline=None)
+@given(context_and_pair())
+def test_is_concept_is_membership_in_the_enumeration(case):
+    ctx, pair = case
+    lat = enumerate_concepts(ctx)
+    assert is_concept(ctx, pair) == (pair in lat.concepts)
+    if pair in lat.concepts:
+        assert lattice_meet(ctx, pair, pair) == lattice_join(ctx, pair, pair) == pair
+    else:
+        with pytest.raises(NotAConceptError):
+            lattice_meet(ctx, pair, lat.top)
+
+
 def test_meet_join_agree_with_order_matrix():
     rng = random.Random(77)
     for _ in range(12):
@@ -320,6 +369,17 @@ def test_cxt_errors():
         parse_cxt("B\n\nx\n2\n")
 
 
+def test_cxt_refuses_a_line_after_the_incidence_rows():
+    with pytest.raises(FormatError) as e:
+        parse_cxt("B\n\n1\n1\ng\nm\nX\n.\nX\nfoo bar\n")
+    assert (str(e.value), e.value.line) == ("line 8: unexpected line after the incidence rows: '.'", 8)
+    with pytest.raises(FormatError) as e:
+        parse_cxt("B\n\n2\n0\ng1\ng2\n\nX\n")
+    assert e.value.line == 8
+    # blank trailing lines stay allowed
+    assert parse_cxt("B\n\n1\n1\ng\nm\nX\n\n  \n\t\n") == Context(("g",), ("m",), [[1]])
+
+
 def test_context_csv_round_trip():
     text = render_context_csv(WORKED)
     assert text == ",a,b\n1,1,0\n2,1,1\n3,0,0\n"
@@ -339,7 +399,63 @@ def test_degenerate_attribute_free_context():
 def test_context_validation():
     with pytest.raises(ValueError):
         Context(("g", "g"), ("m",), ((True,), (False,)))
-    with pytest.raises(ValueError):
-        Context(("g",), ("m",), ((True, False),))
+    for objects, attributes, rows in (
+        (("g",), ("m",), ((True, False),)),
+        (("g", "h"), ("m",), ((True,),)),
+        ((), ("m",), ((True,),)),
+        (("g", "h"), ("m", "n"), ((True, False), (True,))),  # ragged
+        (("g",), ("m",), np.zeros((1, 1, 1), dtype=bool)),
+        ((), ("m",), np.zeros((0, 2), dtype=bool)),
+    ):
+        with pytest.raises(ValueError):
+            Context(objects, attributes, rows)
     with pytest.raises(UnknownLabelError):
         Context.from_pairs(("g",), ("m",), [("g", "nope")])
+
+
+def test_contexts_from_every_form_are_equal_and_hash_equal():
+    objects, attributes = ("1", "2", "3"), ("a", "b")
+    forms = [
+        WORKED,
+        Context(objects, attributes, ((True, False), (True, True), (False, False))),
+        Context(list(objects), list(attributes), [[1, 0], [1, 1], [0, 0]]),
+        Context(objects, attributes, np.array([[1, 0], [1, 1], [0, 0]], dtype=bool)),
+        Context(objects, attributes, np.array([[1, 0], [1, 1], [0, 0]])),
+        parse_cxt(render_cxt(WORKED)),
+        parse_context_csv(render_context_csv(WORKED)),
+    ]
+    assert all(ctx == WORKED and hash(ctx) == hash(WORKED) for ctx in forms)
+    assert len(set(forms)) == 1
+    assert WORKED != Context(objects, attributes, [[1, 0], [1, 1], [0, 1]])
+    assert WORKED != Context(("1", "2", "4"), attributes, [[1, 0], [1, 1], [0, 0]])
+    assert WORKED != WORKED.to_profunctor()
+    empty = [Context((), ("a",), ()), Context((), ["a"], np.zeros((0, 1), dtype=bool))]
+    assert empty[0] == empty[1] and hash(empty[0]) == hash(empty[1])
+
+
+def test_context_holds_one_read_only_array():
+    given_rows = np.array([[True, False], [False, True]])
+    ctx = Context(("g1", "g2"), ("m1", "m2"), given_rows)
+    given_rows[0, 0] = False  # the context took a copy
+    assert ctx == IDENT2 and ctx.incidence_array.dtype == np.bool_
+    with pytest.raises(ValueError):
+        ctx.incidence_array[0, 0] = False
+    for ctx in (parse_cxt(render_cxt(WORKED)), parse_context_csv(render_context_csv(WORKED))):
+        enumerate_concepts(ctx).covers()
+        assert ctx.to_profunctor() == Profunctor(ctx.incidence_array, TRUTH)
+        assert render_cxt(ctx) and render_context_csv(ctx)
+        assert "incidence" not in vars(ctx)
+        assert ctx.to_profunctor() == Profunctor(ctx.incidence, TRUTH)
+        assert ctx.incidence == ((True, False), (True, True), (False, False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.data())
+def test_cxt_and_csv_round_trips(n, m, data):
+    rows = data.draw(st.lists(st.lists(st.booleans(), min_size=m, max_size=m), min_size=n, max_size=n))
+    ctx = Context(tuple(f"g{i}" for i in range(n)), tuple(f"m{j}" for j in range(m)), rows)
+    assert ctx.incidence_array.shape == (n, m)
+    again = parse_cxt(render_cxt(ctx))
+    assert again == ctx and hash(again) == hash(ctx) and again.incidence == ctx.incidence
+    if m:  # a CSV table needs a column label
+        assert parse_context_csv(render_context_csv(ctx)) == ctx

@@ -94,7 +94,7 @@ def token(draw, pool):
 
 
 @st.composite
-def function_file(draw):
+def mixed_file(draw):
     """Mostly well-formed rows over few abscissae, so that duplicates are
     common; a row is blank, has the wrong cell count or holds a bad token
     now and then."""
@@ -114,6 +114,28 @@ def function_file(draw):
             lines.append(f"{x},{v}")
     newline = draw(st.sampled_from(NEWLINES))
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@st.composite
+def well_formed_file(draw):
+    """A file the reader must accept: distinct finite abscissae in any
+    order, written as ``repr``, and value tokens from the valid pool or
+    as ``repr``, with padding that does not end a line, blank lines and
+    an optional header."""
+    xs = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8, unique=True))
+    pad = st.sampled_from(["", " ", "\t", "\xa0", "\u2003", "\x1f"])
+    lines = [draw(st.sampled_from(["x,value", "X,Value", " x , value "]))] if draw(st.booleans()) else []
+    for x in xs:
+        v = draw(st.one_of(st.sampled_from(NUMBERS + SPECIAL[:7]), st.floats(allow_nan=False).map(repr)))
+        lines.append(f"{draw(pad)}{x!r}{draw(pad)},{draw(pad)}{v}{draw(pad)}")
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(pad))
+    newline = draw(st.sampled_from(NEWLINES))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def function_file():
+    return st.one_of(mixed_file(), well_formed_file())
 
 
 @settings(max_examples=300, deadline=None)
