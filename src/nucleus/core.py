@@ -14,7 +14,9 @@ also runs on the pairing k*x.  Their composites are closure operators;
 limits and colimits of fixed pairs are computed pointwise and re-closed
 on the side the pointwise formula can leave.  Profunctors and vectors
 hold one encoded array each; the scalar views ``entries`` and ``values``
-are built only when read.
+are built only when read.  Matrix, context and function files are one
+labelled-table CSV, read in whole columns by :func:`parse_labelled_csv`,
+whose one row walk names the first fault of a file it refuses.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import compress, count, repeat
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -487,47 +490,71 @@ def check_rspace_axioms(d: Sequence[Sequence[ExtReal]]) -> RSpaceReport:
 
 
 # ---------------------------------------------------------------------------
-# Labelled-table CSV: first cell blank, then the column labels; each data
-# row starts with its row label.  Blank lines are skipped.  Matrices hold
-# extended-real tokens; contexts (nucleus.galois) hold 0/1.
+# Labelled-table CSV, the text of matrices, contexts (nucleus.galois) and
+# function files (nucleus.legendre): a header row, then labelled rows.
 
 def parse_labelled_csv(
-    text: str, what: str, cell: Callable[[str], object], nonempty: bool
-) -> tuple[tuple[str, ...], tuple[str, ...], list[list[object]]]:
-    """Row labels, column labels and the rows of ``cell``-parsed values.  A
-    ValueError from ``cell`` is reported at its line and column label; with
-    ``nonempty``, a table without a column label or a data row is refused."""
-    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    if not lines:
-        raise FormatError(f"empty {what} file")
-    (header_line, header), body = lines[0], lines[1:]
-    col_labels = tuple(c.strip() for c in header.split(",")[1:])
-    if nonempty and not col_labels:
-        raise FormatError("header needs at least one column label", line=header_line)
-    row_labels, rows = [], []
-    for lineno, ln in body:
-        cells = [c.strip() for c in ln.split(",")]
-        if len(cells) != len(col_labels) + 1:
-            raise FormatError(f"expected {len(col_labels) + 1} cells, found {len(cells)}", line=lineno)
-        row_labels.append(cells[0])
-        row = []
-        for label, token in zip(col_labels, cells[1:]):
-            try:
-                row.append(cell(token))
-            except ValueError as e:
-                raise FormatError(str(e), line=lineno, field=label) from None
-        rows.append(row)
+    text: str, what: str, cell: Callable, read: Callable, label: Callable = str,
+    header: tuple[str, ...] | None = None, nonempty: bool = False,
+):
+    """``read(header, labels, cells, numbers)``: the field names, the row
+    labels, the other cells row by row and a function listing each row's
+    line, with lines split by ``str.splitlines``, lines and cells stripped
+    by ``str.strip`` and blank lines skipped.  A given ``header`` is the
+    fields, and a first line spelling it (any case, spaces ignored) is
+    skipped.  With ``nonempty`` a table needs a column label and a row.  A
+    row of the wrong width, or a plain ValueError from ``read``, starts one
+    walk raising the first fault in file order at its line and field, by
+    the width, ``label`` and ``cell``; a ``FormatError`` passes as it is."""
+    lines = list(map(str.strip, text.splitlines()))
+    rows = list(compress(lines, lines))
+    if header is None:
+        if not rows:
+            raise FormatError(f"empty {what} file")
+        header = tuple(map(str.strip, rows[0].split(",")))
+        if nonempty and len(header) < 2:
+            raise FormatError("header needs at least one column label", line=lines.index(rows[0]) + 1)
+        skip = 1
+    else:
+        skip = int(bool(rows) and rows[0].lower().replace(" ", "") == ",".join(header))
+    del rows[:skip]
     if nonempty and not rows:
         raise FormatError(f"{what} has no data rows")
-    return tuple(row_labels), col_labels, rows
+
+    def numbers() -> list[int]:
+        return list(compress(count(1), lines))[skip:]
+
+    width = len(header)
+    try:
+        # a count per row: a short row and a long row would balance in a total
+        if list(map(str.count, rows, repeat(","))).count(width - 1) != len(rows):
+            raise ValueError("rows of the wrong width")
+        cells = list(map(str.strip, ",".join(rows).split(","))) if rows else []
+        labels = cells[::width]
+        del cells[::width]
+        return read(header, labels, cells, numbers)
+    except FormatError:
+        raise
+    except ValueError:
+        for lineno, row in zip(numbers(), rows):
+            tokens = [c.strip() for c in row.split(",")]
+            if len(tokens) != width:
+                raise FormatError(f"expected {width} cells, found {len(tokens)}", line=lineno) from None
+            for i, (field, token) in enumerate(zip(header, tokens)):
+                try:
+                    (cell if i else label)(token)
+                except ValueError as e:
+                    raise FormatError(str(e), line=lineno, field=field) from None
+        raise
 
 
 def render_labelled_csv(row_labels: Sequence[str], col_labels: Sequence[str], rows: Iterable) -> str:
     """The table whose rows are the given iterables of cell text.  A label
-    with a comma, or a table without columns, has no CSV form."""
+    with a comma, a line break or whitespace at either end, or a table
+    without columns, has no CSV form: the reader would not read it back."""
     for lab in (*row_labels, *col_labels):
-        if "," in lab:
-            raise FormatError(f"label {lab!r} may not contain a comma")
+        if "," in lab or lab != lab.strip() or len(lab.splitlines()) > 1:
+            raise FormatError(f"label {lab!r} has no CSV form: a comma, a line break or whitespace at an end")
     if not col_labels:
         raise FormatError("a CSV table needs at least one column label")
     out = ["," + ",".join(col_labels)]
@@ -536,10 +563,13 @@ def render_labelled_csv(row_labels: Sequence[str], col_labels: Sequence[str], ro
 
 
 def parse_matrix_csv(text: str) -> tuple[tuple[str, ...], tuple[str, ...], Profunctor]:
-    row_labels, col_labels, rows = parse_labelled_csv(
-        text, "matrix", lambda token: ext.parse(token).to_float(), nonempty=True
-    )
-    return row_labels, col_labels, Profunctor(np.array(rows, dtype=np.float64), EXT_REAL)
+    """Row labels, column labels and matrix of a table of extended reals."""
+    return parse_labelled_csv(text, "matrix", ext.parse, _read_matrix, nonempty=True)
+
+
+def _read_matrix(header, labels, cells, numbers):
+    values = ext.to_array(map(ext.parse, cells)).reshape(len(labels), len(header) - 1)
+    return tuple(labels), header[1:], Profunctor(values, EXT_REAL)
 
 
 def render_matrix_csv(

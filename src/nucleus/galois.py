@@ -13,7 +13,7 @@ their extent masks and the context, builds the inclusion order only when
 read, and takes its covers from each concept's upper neighbours (Lindig,
 "Fast Concept Analysis", 2000), found by intent in a table as well.
 Meets intersect extents, joins close the union.  A context's CSV form is
-core's labelled table with 0/1 cells.
+core's labelled table with 0/1 cells, read in whole columns.
 """
 
 from __future__ import annotations
@@ -181,11 +181,15 @@ class Context:
 
 @dataclass(frozen=True)
 class Concept:
-    """A closed pair: each side is exactly the polar of the other.
-    Labels are kept in context order, so rendering is deterministic."""
+    """A closed pair: each side is exactly the polar of the other.  Labels
+    are kept as tuples in context order: rendering is deterministic."""
 
     extent: tuple[str, ...]
     intent: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "extent", tuple(self.extent))
+        object.__setattr__(self, "intent", tuple(self.intent))
 
     def __str__(self) -> str:
         return "({%s}, {%s})" % (", ".join(self.extent), ", ".join(self.intent))
@@ -433,6 +437,9 @@ _CXT_CELLS = str.maketrans("", "", "Xx.")
 
 
 def render_cxt(ctx: Context) -> str:
+    for lab in (*ctx.objects, *ctx.attributes):
+        if not lab or lab != lab.strip() or len(lab.splitlines()) > 1:
+            raise FormatError(f"label {lab!r} has no .cxt form: a name is one non-empty line, not padded")
     out = ["B", "", str(len(ctx.objects)), str(len(ctx.attributes))]
     out.extend(ctx.objects)
     out.extend(ctx.attributes)
@@ -440,17 +447,23 @@ def render_cxt(ctx: Context) -> str:
     return "\n".join(out) + "\n"
 
 
-def _incidence_cell(token: str) -> bool:
+def _incidence_cell(token: str) -> None:
     if token not in ("0", "1"):
         raise ValueError("incidence cells must be 0 or 1")
-    return token == "1"
 
 
 def parse_context_csv(text: str) -> Context:
     """0/1 matrix with a header of attribute labels and a leading label column."""
-    objects, attributes, rows = parse_labelled_csv(text, "context", _incidence_cell, nonempty=False)
+    return parse_labelled_csv(text, "context", _incidence_cell, _read_context)
+
+
+def _read_context(header, labels, cells, numbers) -> Context:
+    if not {"0", "1"}.issuperset(cells):
+        raise ValueError("incidence cells must be 0 or 1")
+    # each cell is one character, so the joined text has one byte per cell
+    grid = np.frombuffer("".join(cells).encode(), dtype=np.uint8) == ord("1")
     try:
-        return Context(objects, attributes, rows)
+        return Context(labels, header[1:], grid.reshape(len(labels), len(header) - 1))
     except ValueError as e:
         raise FormatError(str(e)) from None
 

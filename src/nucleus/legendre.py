@@ -11,7 +11,8 @@ asymmetric and can be negative, is :func:`~nucleus.core.hom_distance`:
 module structures are ``cvx_scale``, :func:`~nucleus.core.tensor_each`
 and :func:`~nucleus.core.residuate_each`; ``pointwise_sup`` and
 ``pointwise_inf`` are :func:`~nucleus.core.pointwise_meet` and
-:func:`~nucleus.core.pointwise_join`.
+:func:`~nucleus.core.pointwise_join`.  A function file is core's
+labelled table with the fields ``x,value``.
 
 The conjugate against a grid of slopes is ``max_x (k*x - f(x))`` with
 the subtraction taken from the saturating tables, and the reverse
@@ -43,9 +44,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import compress, repeat
-from operator import itemgetter
-from typing import NoReturn, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -589,79 +588,47 @@ def cvx_scale(kind: LimitKind, a: ExtReal, f: SampledFunction) -> SampledFunctio
 
 
 # ---------------------------------------------------------------------------
-# Function CSV: two columns "x,value"; the header line is optional on
-# input and always written.  Rows are sorted on load; duplicate
-# abscissae are rejected.
+# Function CSV: the header line "x,value" is optional on input, always written.
 
 def parse_function_csv(text: str, space: Space = Space.PRIMAL) -> SampledFunction:
     """The function a two-column ``x,value`` file spells, its rows sorted
-    by abscissa.  Lines are split as ``str.splitlines`` splits them and
-    cells stripped as ``str.strip`` strips them; blank lines are skipped,
-    and a first line reading ``x,value`` (any case, spaces ignored) is a
-    header.  A cell is read by the token rule of :func:`~nucleus.extreal.parse`:
-    Python's ``float``, digit-group underscores and NaN refused, and an
-    abscissa must be finite and unique.  A malformed file raises the
-    ``FormatError`` of its first fault in file order, with the line
-    (counting blank lines) and field; a file without rows has no line,
-    and the smallest repeated abscissa is reported at its second line.
-
-    The file is read in whole-column passes; only a file it refuses is
-    read again row by row, to name the fault.
+    by abscissa, as :func:`~nucleus.core.parse_labelled_csv` reads the
+    table, a first line reading ``x,value`` being a header.  A cell is read
+    by the token rule of :func:`~nucleus.extreal.parse`: Python's ``float``,
+    digit-group underscores and NaN refused, and an abscissa must be finite
+    and unique.  A malformed file raises the ``FormatError`` of its first
+    fault in file order, with the line (counting blank lines) and field; a
+    file without rows has no line, and the smallest repeated abscissa is
+    reported at its second line.
     """
-    lines = list(map(str.strip, text.splitlines()))
-    rows = list(compress(lines, lines))
-    if rows and rows[0].lower().replace(" ", "") == "x,value":
-        del rows[0]
-    joined = ",".join(rows)
-    # a count per row: a 1-cell row and a 3-cell row would balance in a total
-    if not rows or "_" in joined or list(map(str.count, rows, repeat(","))).count(1) != len(rows):
-        _raise_first_fault(text)
-    cells = list(map(str.strip, joined.split(",")))
-    try:
-        xs = np.array(list(map(float, cells[0::2])))
-        vs = ext.to_array(map(ext.parse, cells[1::2]))
-    except ValueError:
-        _raise_first_fault(text)
-    order = np.argsort(xs, kind="stable")
-    xs, vs = xs[order], vs[order]
-    if not np.isfinite(xs).all() or (xs[1:] == xs[:-1]).any():
-        _raise_first_fault(text)
+    xs, vs = core.parse_labelled_csv(text, "function", ext.parse, _read_function, _abscissa, ("x", "value"))
     return SampledFunction(Grid(xs), vs, space)
 
 
-def _raise_first_fault(text: str) -> NoReturn:
-    """Raise the first ``FormatError`` of a file that
-    :func:`parse_function_csv` refused, reading it one row at a time."""
-    rows: list[tuple[float, int]] = []
-    seen_content = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if not seen_content:
-            seen_content = True
-            if line.lower().replace(" ", "") == "x,value":
-                continue
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != 2:
-            raise FormatError(f"expected 2 cells, found {len(cells)}", line=lineno)
-        try:
-            x = ext._real(cells[0])
-        except ValueError:
-            raise FormatError(f"bad abscissa {cells[0]!r}", line=lineno, field="x") from None
-        if not math.isfinite(x):
-            raise FormatError("abscissae must be finite", line=lineno, field="x")
-        try:
-            ext.parse(cells[1])
-        except ValueError as e:
-            raise FormatError(str(e), line=lineno, field="value") from None
-        rows.append((x, lineno))
-    if not rows:
+def _abscissa(token: str) -> None:
+    try:
+        x = ext._real(token)
+    except ValueError:
+        raise ValueError(f"bad abscissa {token!r}") from None
+    if not math.isfinite(x):
+        raise ValueError("abscissae must be finite")
+
+
+def _read_function(header, labels, cells, numbers) -> tuple[np.ndarray, np.ndarray]:
+    if not labels:
         raise FormatError("function file has no samples")
-    rows.sort(key=itemgetter(0))
-    # every other fault is raised above, so the refused file repeats an abscissa
-    x2, ln = next((x2, ln) for (x1, _), (x2, ln) in zip(rows, rows[1:]) if x1 == x2)
-    raise FormatError(f"duplicate abscissa {x2!r}", line=ln, field="x")
+    xs = np.array(list(map(float, labels)))
+    vs = ext.to_array(map(ext.parse, cells))
+    # float reads the digit-group underscore in 1_0 as 10
+    if "_" in "".join(labels) or not np.isfinite(xs).all():
+        raise ValueError("an abscissa is not a finite number")
+    order = np.argsort(xs, kind="stable")
+    xs = xs[order]
+    repeats = np.flatnonzero(xs[1:] == xs[:-1]) + 1
+    if len(repeats):
+        at = repeats[0]
+        raise FormatError(f"duplicate abscissa {xs[at].item()!r}", line=numbers()[order[at]], field=header[0])
+    return xs, vs[order]
 
 
 def render_function_csv(f: SampledFunction) -> str:

@@ -3,7 +3,10 @@
 Every run must end in exit status 0, 1 or 2: no exception may escape
 ``cli.run`` and no warning may be raised or printed, whatever the files
 hold.  A ``--json`` report must be strict JSON, without the ``Infinity``
-or ``NaN`` that Python's ``json`` writes and reads by default.
+or ``NaN`` that Python's ``json`` writes and reads by default.  Matrix
+and context files come padded, with any line break and now and then a
+bad token; a verb that reads only such files exits 2 naming the file,
+and a bad cell or row with its line (and field).
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -53,12 +57,37 @@ def function_csv(draw, xs):
     return "\n".join(header + rows) + "\n"
 
 
+# whitespace that str.strip strips (\x0c also ends a line) and the line
+# breaks of str.splitlines
+PAD = ["", " ", "\t", "\xa0", "\u2003", "\x1f", "\x0c"]
+NEWLINES = ["\n", "\r\n", "\x0b", "\x1c", "\x85", "\u2028"]
+
+
+@st.composite
+def padded(draw, text):
+    """``text`` with whitespace around it now and then."""
+    if draw(st.integers(0, 3)):
+        return text
+    return draw(st.sampled_from(PAD)) + text + draw(st.sampled_from(PAD))
+
+
+@st.composite
+def table_csv(draw, objects, attributes, cells):
+    """A labelled table: padded labels and cells, a blank line now and
+    then, and any line break."""
+    lines = ["," + ",".join([draw(padded(a)) for a in attributes])]
+    for g in objects:
+        if not draw(st.integers(0, 7)):
+            lines.append(draw(st.sampled_from(PAD)))
+        lines.append(",".join([draw(padded(g)), *(draw(padded(draw(cells))) for _ in attributes)]))
+    newline = draw(st.sampled_from(NEWLINES))
+    return newline.join(lines) + newline
+
+
 @st.composite
 def matrix_csv(draw):
     n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    cols = draw(labels(m))
-    rows = [",".join([r, *(draw(token()) for _ in cols)]) for r in draw(labels(n))]
-    return "\n".join(["," + ",".join(cols), *rows]) + "\n"
+    return draw(table_csv(draw(labels(n)), draw(labels(m)), token()))
 
 
 @st.composite
@@ -68,8 +97,7 @@ def context_text(draw):
     if draw(st.booleans()):
         rows = ["".join(draw(token(["X", "."])) for _ in range(m)) for _ in range(n)]
         return "\n".join(["B", "", str(n), str(m), *objects, *attributes, *rows]) + "\n"
-    rows = [",".join([g, *(draw(token(["0", "1"])) for _ in range(m))]) for g in objects]
-    return "\n".join(["," + ",".join(attributes), *rows]) + "\n"
+    return draw(table_csv(objects, attributes, token(["0", "1"], ["2", "", "x", "01", "1.0"])))
 
 
 def _refuse_constant(name: str):
@@ -105,6 +133,13 @@ def verb_forms(draw):
     ]
 
 
+# the verbs whose only inputs are matrix and context files
+TABLE_VERBS = {"concepts", "lattice", "compose"}
+# a cell fault names its line and field, a row of the wrong width its line
+CELL_FAULT = re.compile(r"not an extended real|incidence cells must be 0 or 1")
+ROW_FAULT = re.compile(r"expected \d+ cells")
+
+
 def test_random_files_through_every_verb_form():
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -125,6 +160,13 @@ def test_random_files_through_every_verb_form():
                 assert not caught, [str(w.message) for w in caught]
                 assert "warning" not in err.getvalue().lower()
                 assert (code == 2) == bool(err.getvalue()), err.getvalue()
+                if code == 2 and argv[0] in TABLE_VERBS:
+                    message = err.getvalue()
+                    assert any(f"{root / name}" in message for name in files), message
+                    if CELL_FAULT.search(message):
+                        assert re.search(r": line \d+, field '[^']*': ", message), message
+                    if ROW_FAULT.search(message):
+                        assert re.search(r": line \d+: ", message), message
                 if "--json" in argv and code != 2:
                     json.loads(out.getvalue(), parse_constant=_refuse_constant)
 

@@ -245,6 +245,15 @@ def test_lattice_meet_join_examples():
         lattice_meet(WORKED, Concept(("1",), ("a",)), c_mid)
 
 
+def test_concept_built_from_lists_is_the_enumerated_concept():
+    ctx = Context(("1", "2", "3"), ("a", "b"), [[1, 0], [1, 1], [0, 1]])
+    lat = enumerate_concepts(ctx)
+    listed, tupled = Concept(["2"], ["a", "b"]), Concept(("2",), ("a", "b"))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert is_concept(ctx, listed) and listed in lat.concepts
+    assert lat.concepts[lat.index_of(listed)] == tupled
+
+
 def test_is_concept_wants_the_context_order_labels():
     lat = enumerate_concepts(WORKED)
     for fake in (

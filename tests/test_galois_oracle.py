@@ -9,7 +9,8 @@ agree with them exactly on random contexts, including ones without
 objects or without attributes, with duplicate rows and with masks that
 span several machine words.  The walk must also spend at most two
 closures per concept.  The set-bit polar and label kernels are checked
-against the per-bit loops they replaced.
+against the per-bit loops they replaced.  Every table writer either
+refuses a label or writes text its reader reads back as it was.
 """
 
 from __future__ import annotations
@@ -18,9 +19,19 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nucleus.core import FormatError, parse_matrix_csv
-from nucleus.galois import Context, enumerate_concepts, export_dot, parse_context_csv, render_context_csv
+from nucleus.core import EXT_REAL, FormatError, Profunctor, parse_matrix_csv, render_matrix_csv
+from nucleus.galois import (
+    Context,
+    enumerate_concepts,
+    export_dot,
+    parse_context_csv,
+    parse_cxt,
+    render_context_csv,
+    render_cxt,
+)
 
 
 def oracle_order(lat):
@@ -300,3 +311,40 @@ def test_context_csv_refuses_a_context_without_attributes(objects):
             parse_context_csv(",\ng1,\ng2,\n")
     else:
         assert parse_context_csv(",\n") == Context((), ("",), ())
+
+
+# labels each reader would change or refuse, beside ones every writer must write
+UNREADABLE = ["", " a", "a\nb", "a\x85b", "a,b"]
+PLAIN = ["a", "b", "c d"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(UNREADABLE + PLAIN), max_size=3, unique=True),
+    st.lists(st.sampled_from(UNREADABLE + PLAIN), max_size=3, unique=True),
+    st.data(),
+)
+def test_writers_refuse_the_labels_their_readers_would_change(objects, attributes, data):
+    n, m = len(objects), len(attributes)
+    plain = set(objects + attributes) <= set(PLAIN)
+    incidence = np.array(data.draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m)), dtype=bool)
+    ctx = Context(objects, attributes, incidence.reshape(n, m))
+    written = []
+    for write, read in ((render_cxt, parse_cxt), (render_context_csv, parse_context_csv)):
+        try:
+            text = write(ctx)
+        except FormatError:
+            assert not plain or (write is render_context_csv and not m)
+            continue
+        assert read(text) == ctx
+        written.append(write)
+    if n and m:
+        values = data.draw(st.lists(st.sampled_from([0.0, -1.5, 1e308, np.inf, -np.inf]), min_size=n * m, max_size=n * m))
+        matrix = Profunctor(np.array(values).reshape(n, m), EXT_REAL)
+        try:
+            text = render_matrix_csv(objects, attributes, matrix)
+        except FormatError:
+            assert not plain
+        else:
+            assert parse_matrix_csv(text) == (tuple(objects), tuple(attributes), matrix)
+            assert render_context_csv in written

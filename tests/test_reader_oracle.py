@@ -1,11 +1,13 @@
-"""The text readers against a per-row oracle, and the token rules.
+"""The text readers against per-row oracles, and the token rules.
 
-The oracle is the row-at-a-time function reader that built one tagged
-``ExtReal`` per value cell, with its special-cased infinity tokens, and
-sorted the rows in Python, with one rule added: digit-group underscores,
-which ``float`` reads (``1_0`` as 10.0), are refused.  The reader under
-test must give the same grid and value bytes, or the same ``FormatError``
-text, line and field.
+The function oracle is the row-at-a-time function reader that built one
+tagged ``ExtReal`` per value cell, with its special-cased infinity
+tokens, and sorted the rows in Python, with one rule added: digit-group
+underscores, which ``float`` reads (``1_0`` as 10.0), are refused.  The
+labelled-table oracle, for matrix and context files, is the row loop
+that parsed one cell at a time into lists of lists.  The readers under
+test must give the same labels and array bytes, or the same
+``FormatError`` text, line and field.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nucleus.core import FormatError, parse_matrix_csv
+from nucleus.galois import parse_context_csv
 from nucleus.legendre import Space, parse_function_csv
 
 
@@ -214,3 +217,152 @@ def test_matrix_reader_token_rules():
             parse_matrix_csv(f",a,b\nr,0,1\ns,2,{bad}\n")
         assert (e.value.line, e.value.field) == (3, "b")
         assert str(e.value).endswith(f"not an extended real: {bad!r}")
+
+
+def oracle_labelled_csv(text, what, cell, nonempty):
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines:
+        raise FormatError(f"empty {what} file")
+    (header_line, header), body = lines[0], lines[1:]
+    col_labels = tuple(c.strip() for c in header.split(",")[1:])
+    if nonempty and not col_labels:
+        raise FormatError("header needs at least one column label", line=header_line)
+    row_labels, rows = [], []
+    for lineno, ln in body:
+        cells = [c.strip() for c in ln.split(",")]
+        if len(cells) != len(col_labels) + 1:
+            raise FormatError(f"expected {len(col_labels) + 1} cells, found {len(cells)}", line=lineno)
+        row_labels.append(cells[0])
+        row = []
+        for label, token in zip(col_labels, cells[1:]):
+            try:
+                row.append(cell(token))
+            except ValueError as e:
+                raise FormatError(str(e), line=lineno, field=label) from None
+        rows.append(row)
+    if nonempty and not rows:
+        raise FormatError(f"{what} has no data rows")
+    return tuple(row_labels), col_labels, rows
+
+
+def oracle_matrix_csv(text):
+    rows, cols, cells = oracle_labelled_csv(text, "matrix", oracle_value, nonempty=True)
+    return rows, cols, np.array(cells, dtype=np.float64).reshape(len(rows), len(cols))
+
+
+def oracle_incidence(token):
+    if token not in ("0", "1"):
+        raise ValueError("incidence cells must be 0 or 1")
+    return token == "1"
+
+
+def oracle_context_csv(text):
+    objects, attributes, cells = oracle_labelled_csv(text, "context", oracle_incidence, nonempty=False)
+    for labels, what in ((objects, "object"), (attributes, "attribute")):
+        if len(set(labels)) != len(labels):
+            raise FormatError(f"{what} labels must be unique")
+    return objects, attributes, np.array(cells, dtype=bool).reshape(len(objects), len(attributes))
+
+
+def read_matrix(text):
+    rows, cols, m = parse_matrix_csv(text)
+    return rows, cols, m.entries_array
+
+
+def read_context(text):
+    ctx = parse_context_csv(text)
+    return ctx.objects, ctx.attributes, ctx.incidence_array
+
+
+READERS = {"matrix": (read_matrix, oracle_matrix_csv), "context": (read_context, oracle_context_csv)}
+CELLS = {
+    "matrix": (NUMBERS + SPECIAL[:7], SPECIAL[7:] + JUNK),
+    "context": (["0", "1"], ["2", "", "x", "01", "1.0", "-0"]),
+}
+LABELS = ["a", "b", "c", "", "r_1", "1"]
+BLANKS = st.sampled_from(["", "   ", "\t", "\xa0\u2003"])
+# PAD without the \x0c that ends a line
+LINE_PAD = st.sampled_from(["", " ", "\t", "\xa0", "\u2003", "\x1f"])
+
+
+@st.composite
+def table_file(draw, kind):
+    """A labelled table, mostly well formed: blank lines before the header
+    and between rows, padded labels and cells, now and then a repeated
+    label, a label with a comma, a bad token, or a short or long row."""
+    good, bad = CELLS[kind]
+
+    def pick(pool, rare):
+        """Mostly a token of ``pool`` padded within its line, now and then
+        one of ``rare`` with any padding."""
+        if draw(st.integers(0, 19)):
+            return draw(LINE_PAD) + draw(st.sampled_from(pool)) + draw(LINE_PAD)
+        return draw(token(rare))
+
+    lines = draw(st.lists(BLANKS, max_size=2))
+    width = draw(st.sampled_from([0, 1, 2, 2, 3, 3]))
+    cols = [pick(LABELS, ["x,"]) for _ in range(width)]
+    lines.append(draw(LINE_PAD) + "".join("," + c for c in cols))
+    for _ in range(draw(st.sampled_from([0, 1, 2, 3, 4]))):
+        if not draw(st.integers(0, 5)):
+            lines.append(draw(BLANKS))
+        n = width + draw(st.sampled_from([0] * 12 + [-1, 1]))
+        lines.append(",".join([pick(LABELS, ["x,"]), *(pick(good, bad) for _ in range(max(n, 0)))]))
+    newline = draw(st.sampled_from(NEWLINES))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def assert_table_reader_matches_the_oracle(kind, text):
+    read, oracle = READERS[kind]
+    try:
+        want = oracle(text)
+    except FormatError as e:
+        with pytest.raises(FormatError) as got:
+            read(text)
+        assert (str(got.value), got.value.line, got.value.field) == (str(e), e.line, e.field)
+        return
+    rows, cols, arr = read(text)
+    assert (rows, cols) == want[:2]
+    assert arr.dtype == want[2].dtype and arr.shape == want[2].shape
+    assert arr.tobytes() == want[2].tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from(sorted(READERS)))
+def test_table_readers_match_the_row_loop_oracle(data, kind):
+    assert_table_reader_matches_the_oracle(kind, data.draw(table_file(kind)))
+
+
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [
+        # a bad cell before a short row: the bad cell is the first fault
+        ("matrix", ",a,b\nr,1,zz\ns,1\n", "line 2, field 'b': not an extended real: 'zz'"),
+        ("context", ",a,b\ng,1,2\nh,1\n", "line 2, field 'b': incidence cells must be 0 or 1"),
+        # a bad cell in the last row only
+        ("matrix", ",a,b\nr,1,2\ns,3,4\n\nt,5,nan\n", "line 5, field 'b': not an extended real: 'nan'"),
+        ("context", ",a,b\ng,1,0\nh,0,1\nk,1,1\nm,0,x\n", "line 5, field 'b': incidence cells must be 0 or 1"),
+        # a header without a column label is refused before any row is read
+        ("matrix", "x\nr\n", "line 1: header needs at least one column label"),
+        ("matrix", "x\nr,1,2\ns\n", "line 1: header needs at least one column label"),
+        ("matrix", "\n \nx\nr,1\n", "line 3: header needs at least one column label"),
+        # without a column label a context row is its label alone
+        ("context", "x\ng\nh,1\n", "line 3: expected 1 cells, found 2"),
+        ("context", ",a\ng,1\ng,0\n", "object labels must be unique"),
+    ],
+)
+def test_table_readers_name_the_first_fault(kind, text, message):
+    with pytest.raises(FormatError) as e:
+        READERS[kind][0](text)
+    assert str(e.value) == message
+    assert_table_reader_matches_the_oracle(kind, text)
+
+
+def test_table_readers_strip_cells_as_str_strip_does():
+    text = "\x1f,\x1fa\x1f,b\x1f\n\x1fr\x1f,\x1f1\x1f,\x1f-0.0\x1f\n"
+    rows, cols, m = parse_matrix_csv(text)
+    assert (rows, cols, m.entries_array.tolist()) == (("r",), ("a", "b"), [[1.0, 0.0]])
+    ctx = parse_context_csv(text.replace("-0.0", "0"))
+    assert (ctx.objects, ctx.attributes, ctx.incidence) == (("r",), ("a", "b"), ((True, False),))
+    for kind in READERS:
+        assert_table_reader_matches_the_oracle(kind, text)
