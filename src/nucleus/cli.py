@@ -51,8 +51,33 @@ __all__ = ["build_parser", "run", "main"]
 
 
 def _parse_context(text: str):
+    """A ``.cxt`` file when the first line that is not blank is ``B``, a CSV
+    context otherwise.  Text that fails as ``.cxt`` before both counts are
+    read, and reads as a CSV context (whose one column label is ``B``), is
+    that context; otherwise the ``.cxt`` error stands, so a truncated
+    ``.cxt`` file is not taken for a column of object labels."""
     first = next((ln.strip() for ln in text.splitlines() if ln.strip()), "")
-    return parse_cxt(text) if first == "B" else parse_context_csv(text)
+    if first != "B":
+        return parse_context_csv(text)
+    try:
+        return parse_cxt(text)
+    except FormatError as cxt_error:
+        lines = [ln.strip() for ln in text.splitlines()]
+        # the first two lines after the name line that are not blank
+        counts = [ln for ln in lines[lines.index("B") + 2:] if ln][:2]
+        if len(counts) == 2 and all(map(_is_count, counts)):
+            raise
+        try:
+            return parse_context_csv(text)
+        except FormatError:
+            raise cxt_error from None
+
+
+def _is_count(token: str) -> bool:
+    try:
+        return int(token) >= 0
+    except ValueError:
+        return False
 
 
 def _parse_dual_spec(spec: str, inputs: list[tuple[str, SampledFunction]]) -> Grid:

@@ -568,8 +568,11 @@ def parse_matrix_csv(text: str) -> tuple[tuple[str, ...], tuple[str, ...], Profu
 
 
 def _read_matrix(header, labels, cells, numbers):
-    values = ext.to_array(map(ext.parse, cells)).reshape(len(labels), len(header) - 1)
-    return tuple(labels), header[1:], Profunctor(values, EXT_REAL)
+    values = np.array(list(map(float, cells)))
+    # float reads the digit-group underscore in 1_0 as 10, and reads nan
+    if "_" in "".join(cells) or np.isnan(values).any():
+        raise ValueError("a value cell is not an extended real")
+    return tuple(labels), header[1:], Profunctor(values.reshape(len(labels), len(header) - 1), EXT_REAL)
 
 
 def render_matrix_csv(

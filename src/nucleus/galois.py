@@ -3,17 +3,22 @@
 The polars of the relation form a Galois connection between subsets of
 objects and subsets of attributes; the pairs fixed by both closures are
 the concepts.  A context holds the relation as one read-only bool array
-in core's TRUTH encoding, which ``to_profunctor`` wraps.  Subsets are
-bitmask integers, and one polar kernel serves both sides (0 the objects,
-1 the attributes) from the array's rows and columns packed into masks,
-walking only the set bits.  FCbO enumerates every concept once, keeping
-the intents found so far in a table, so a candidate already generated
-costs one lookup, not a closure.  A lattice keeps the concepts with
-their extent masks and the context, builds the inclusion order only when
-read, and takes its covers from each concept's upper neighbours (Lindig,
-"Fast Concept Analysis", 2000), found by intent in a table as well.
-Meets intersect extents, joins close the union.  A context's CSV form is
-core's labelled table with 0/1 cells, read in whole columns.
+in core's TRUTH encoding, which ``to_profunctor`` wraps, and ``T`` is the
+transposed context, whose concepts are the same pairs with the sides
+swapped and the order reversed.  Subsets are bitmask integers, and one
+polar kernel serves both sides (0 the objects, 1 the attributes) from the
+array's rows and columns packed into masks, walking only the set bits.
+The lattice is built on the smaller side: on the transposed context when
+there are fewer attributes than objects.  FCbO enumerates every concept
+once, keeping the intents found so far in a table, so a candidate already
+generated costs one lookup, not a closure, and a new one costs one polar:
+the candidate is the new intent, and its polar the new extent.  A lattice
+keeps the concepts with their extent and intent masks and the context,
+builds the inclusion order only when read, and takes its covers from each
+concept's upper neighbours (Lindig, "Fast Concept Analysis", 2000), found
+by intent in a table as well.  Meets intersect extents, joins intersect
+intents.  A context's CSV form is core's labelled table with 0/1 cells,
+read in whole columns.
 """
 
 from __future__ import annotations
@@ -107,6 +112,12 @@ class Context:
         for g, m in pairs:
             grid[blank._position(g, 0), blank._position(m, 1)] = True
         return cls(blank.objects, blank.attributes, grid)
+
+    @cached_property
+    def T(self) -> "Context":
+        """The transposed context: the attributes as objects, the objects as
+        attributes, and the incidence array transposed."""
+        return Context(self.attributes, self.objects, self.incidence_array.T)
 
     @cached_property
     def _index(self) -> tuple[dict[str, int], dict[str, int]]:
@@ -211,41 +222,44 @@ def close_extent(ctx: Context, objects: Iterable[str]) -> tuple[str, ...]:
     return ctx.object_labels(ctx.close_extent_mask(ctx.object_mask(objects)))
 
 
-def _concept_from_extent_mask(ctx: Context, extent_mask: int) -> Concept:
-    return Concept(
-        extent=ctx.object_labels(extent_mask),
-        intent=ctx.attribute_labels(ctx.polar_up_mask(extent_mask)),
-    )
-
-
 def is_concept(ctx: Context, concept: Concept) -> bool:
     try:
-        _extent_mask(ctx, concept)
+        _masks_of(ctx, concept)
     except NotAConceptError:
         return False
     return True
+
+
+def _transposed(ctx: Context) -> bool:
+    """Whether the walk and the covers run on ``ctx.T``: the side with fewer
+    labels bounds both loops, and the lattice is self-dual."""
+    return len(ctx.attributes) < len(ctx.objects)
 
 
 def _lectic_closed_extents(ctx: Context) -> list[tuple[int, int]]:
     """Every concept as (extent mask, intent mask), in lectic order of the
     extents (label index 0 is most significant).
 
-    FCbO (Outrata and Vychodil, 2012) over the objects, on a stack: a node
-    (A, B, start) tries each object j >= start outside A and keeps the
-    closure of A + j when it adds nothing below j.  Children inherit the
-    closures that failed that test, and skip j while the failed closure
-    for j adds something below j outside their A.  A table from the
-    intents found so far to their extents answers the candidate intent
-    B & row_j: a hit was generated elsewhere, so it is not canonical here.
-    Only a new intent costs a closure, about 1.2 per concept on random
-    contexts; children run in ascending j, as FCbO recurses, which fills
-    the table before most lookups.  Sorting by the bit-reversed extent
-    gives the order.
+    FCbO (Outrata and Vychodil, 2012) over the objects of the context
+    walked, ``ctx`` or ``ctx.T``, on a stack: a node (A, B, start) tries
+    each object j >= start outside A and keeps the closure of A + j when it
+    adds nothing below j.  Children inherit the closures that failed that
+    test, and skip j while the failed closure for j adds something below j
+    outside their A.  The intent of A + j is the candidate B & row_j, so
+    its closure is the one polar of the candidate.  A table from the
+    intents found so far to their extents answers the candidate: a hit was
+    generated elsewhere, so it is not canonical here.  Only a new intent
+    costs a polar, about 1.2 per concept on random contexts; children run
+    in ascending j, as FCbO recurses, which fills the table before most
+    lookups.  On ``ctx.T`` each pair is swapped back.  Sorting by the
+    bit-reversed extent gives the order.
     """
-    n = len(ctx.objects)
-    rows = ctx._masks[0]
-    bottom = ctx.close_extent_mask(0)
-    all_attributes = (1 << len(ctx.attributes)) - 1
+    transposed = _transposed(ctx)
+    walked = ctx.T if transposed else ctx
+    n = len(walked.objects)
+    rows = walked._masks[0]
+    all_attributes = (1 << len(walked.attributes)) - 1
+    bottom = walked.polar_down_mask(all_attributes)
     found = {all_attributes: bottom}
     stack = [(bottom, all_attributes, 0, [0] * n)]
     while stack:
@@ -259,26 +273,54 @@ def _lectic_closed_extents(ctx: Context) -> list[tuple[int, int]]:
             candidate = intent & rows[j]
             closed = found.get(candidate)
             if closed is None:
-                closed = ctx.close_extent_mask(extent | 1 << j)
+                closed = walked.polar_down_mask(candidate)
                 if closed & below == extent & below:
                     found[candidate] = closed
                     children.append((closed, candidate, j + 1, failed))
                     continue
             failed[j] = closed
         stack.extend(reversed(children))
-    return sorted(((e, b) for b, e in found.items()), key=lambda c: f"{c[0]:0{n}b}"[::-1])
+    pairs = found.items() if transposed else ((e, b) for b, e in found.items())
+    width = len(ctx.objects)
+    return sorted(pairs, key=lambda c: f"{c[0]:0{width}b}"[::-1])
+
+
+def _upper_neighbours(ctx: Context, extents: Sequence[int], intents: Sequence[int]) -> list[tuple[int, int]]:
+    """Pairs (i, j) with concept j covering concept i, by Lindig's upper
+    neighbours: for each concept (A, B), every object g outside A gives the
+    candidate (A + g)'' with intent B & row_g.  Intents are closed under
+    intersection, so that intent is already a concept's, and a table from
+    intent to index finds it with no polar.  The candidate is an upper
+    neighbour unless it holds another object still marked minimal beyond
+    A, in which case g stops being minimal.  O(n |G|) word operations."""
+    rows = ctx._masks[0]
+    index = {b: i for i, b in enumerate(intents)}
+    full = (1 << len(ctx.objects)) - 1
+    edges = []
+    for i, (extent, intent) in enumerate(zip(extents, intents)):
+        minimal = rest = full & ~extent
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = index[intent & rows[low.bit_length() - 1]]
+            if extents[j] & minimal & ~low:
+                minimal ^= low
+            else:
+                edges.append((i, j))
+    return edges
 
 
 @dataclass(frozen=True)
 class ConceptLattice:
-    """All concepts of a context in lectic order, with the extent bitmask of
-    each: the first is the bottom, the closure of the empty set, and the
-    last is the top, whose extent holds every object.  The context they
-    were enumerated from is kept for ``covers``."""
+    """All concepts of a context in lectic order, with the extent and intent
+    bitmasks of each: the first is the bottom, the closure of the empty
+    set, and the last is the top, whose extent holds every object.  The
+    context they were enumerated from is kept for ``covers``."""
 
     concepts: tuple[Concept, ...]
     extent_masks: tuple[int, ...]
     context: Context = field(repr=False, compare=False)
+    intent_masks: tuple[int, ...] = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.concepts)
@@ -301,32 +343,15 @@ class ConceptLattice:
         return self.concepts[0]
 
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Pairs (i, j) with concept j covering concept i, sorted.
-
-        Lindig's upper neighbours: for each concept (A, B), every object g
-        outside A gives the candidate (A + g)'' with intent B & row_g.
-        Intents are closed under intersection, so that intent is already a
-        concept's, and a table from intent to index finds it with no polar.
-        The candidate is an upper neighbour unless it holds another object
-        still marked minimal beyond A, in which case g stops being minimal.
-        One polar per concept, O(n |G|) word operations, O(n + edges) memory."""
+        """Pairs (i, j) with concept j covering concept i, sorted: the upper
+        neighbours on the side the concepts were walked on.  On ``ctx.T``
+        the order is reversed, so its edge (i, j) is the edge (j, i) here.
+        No polar, O(n min(|G|, |M|)) word operations, O(n + edges) memory."""
         ctx = self.context
-        rows = ctx._masks[0]
-        extents = self.extent_masks
-        intents = [ctx._polar(extent, 0) for extent in extents]
-        index = {b: i for i, b in enumerate(intents)}
-        full = (1 << len(ctx.objects)) - 1
-        edges = []
-        for i, (extent, intent) in enumerate(zip(extents, intents)):
-            minimal = rest = full & ~extent
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                j = index[intent & rows[low.bit_length() - 1]]
-                if extents[j] & minimal & ~low:
-                    minimal ^= low
-                else:
-                    edges.append((i, j))
+        if _transposed(ctx):
+            edges = [(j, i) for i, j in _upper_neighbours(ctx.T, self.intent_masks, self.extent_masks)]
+        else:
+            edges = _upper_neighbours(ctx, self.extent_masks, self.intent_masks)
         edges.sort()
         return tuple(edges)
 
@@ -335,12 +360,14 @@ def enumerate_concepts(ctx: Context) -> ConceptLattice:
     """Complete concept set in lectic order of the extents."""
     pairs = _lectic_closed_extents(ctx)
     concepts = tuple(Concept(ctx.object_labels(e), ctx.attribute_labels(b)) for e, b in pairs)
-    return ConceptLattice(concepts, tuple(e for e, _ in pairs), ctx)
+    extents, intents = zip(*pairs)  # there is always a bottom concept
+    return ConceptLattice(concepts, extents, ctx, intents)
 
 
-def _extent_mask(ctx: Context, concept: Concept) -> int:
-    """The extent mask of a concept of the context: each side's labels known,
-    in context order without repeats, and each side the other's polar."""
+def _masks_of(ctx: Context, concept: Concept) -> tuple[int, int]:
+    """The extent and intent masks of a concept of the context: each side's
+    labels known, in context order without repeats, and each side the
+    other's polar."""
     masks = [0, 0]
     for side, labels in enumerate((concept.extent, concept.intent)):
         index = ctx._index[side]
@@ -352,19 +379,21 @@ def _extent_mask(ctx: Context, concept: Concept) -> int:
     extent, intent = masks
     if ctx.polar_up_mask(extent) != intent or ctx.polar_down_mask(intent) != extent:
         raise NotAConceptError(f"not a concept of this context: {concept}")
-    return extent
+    return extent, intent
 
 
 def lattice_meet(ctx: Context, c1: Concept, c2: Concept) -> Concept:
-    """Greatest common subconcept: intersect extents (already closed)."""
-    return _concept_from_extent_mask(ctx, _extent_mask(ctx, c1) & _extent_mask(ctx, c2))
+    """Greatest common subconcept: intersect extents (already closed); the
+    intent is the polar of the intersection."""
+    extent = _masks_of(ctx, c1)[0] & _masks_of(ctx, c2)[0]
+    return Concept(ctx.object_labels(extent), ctx.attribute_labels(ctx.polar_up_mask(extent)))
 
 
 def lattice_join(ctx: Context, c1: Concept, c2: Concept) -> Concept:
-    """Least common superconcept: close the union of extents; the intent is
-    the intersection of intents."""
-    union = _extent_mask(ctx, c1) | _extent_mask(ctx, c2)
-    return _concept_from_extent_mask(ctx, ctx.close_extent_mask(union))
+    """Least common superconcept: intersect intents (already closed); the
+    extent is the polar of the intersection."""
+    intent = _masks_of(ctx, c1)[1] & _masks_of(ctx, c2)[1]
+    return Concept(ctx.object_labels(ctx.polar_down_mask(intent)), ctx.attribute_labels(intent))
 
 
 def export_dot(lattice: ConceptLattice) -> str:

@@ -371,6 +371,21 @@ def test_attribute_free_cxt_error_names_the_file(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {path}: object labels must be unique\n"
 
 
+def test_csv_context_with_the_one_column_label_b_is_read_as_csv(tmp_path, capsys):
+    path = write(tmp_path, "b.csv", "B\ng\nh\n")
+    assert run(["concepts", path]) == 0
+    assert capsys.readouterr().out == "({g, h}, {})\n"
+    # text that neither reader takes, or a .cxt file cut short after its
+    # counts, keeps the .cxt message
+    for text, message in (
+        ("B\n\nx\ny,1\n", "line 3: expected object count, got 'x'"),
+        ("B\n\n1\n2\ng\nm\n", "unexpected end of file while reading an attribute name"),
+    ):
+        path = write(tmp_path, "bad.cxt", text)
+        assert run(["concepts", path]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 def test_cxt_line_after_the_incidence_rows_names_file_and_line(tmp_path, capsys):
     path = write(tmp_path, "tail.cxt", "B\n\n1\n1\ng\nm\nX\n.\nX\nfoo bar\n")
     assert run(["concepts", path]) == 2

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from nucleus.core import EXT_REAL, FormatError, Profunctor, parse_matrix_csv, render_matrix_csv
 from nucleus.galois import (
+    Concept,
     Context,
     enumerate_concepts,
     export_dot,
@@ -157,12 +158,14 @@ def test_lattice_matches_dense_oracles():
 
 
 def walk_contexts():
-    """305 contexts: without objects and/or attributes, 130 objects (masks
-    of three machine words), then densities 0.05-0.95 with every fourth
-    context's rows drawn with repeats."""
+    """311 contexts: without objects and/or attributes, tall and wide ones
+    of up to 300 labels a side (masks of several machine words, walked on
+    either side), then densities 0.05-0.95 with every fourth context's rows
+    drawn with repeats."""
     rng = random.Random(47)
     yield from (random_context(rng, n, m) for n, m in ((0, 0), (0, 4), (4, 0)))
     yield from (random_context(rng, 130, m, 0.5) for m in (5, 8))
+    yield from (random_context(rng, n, m, 0.5) for n, m in ((300, 5), (5, 300), (130, 9), (9, 130)))
     for k in range(300):
         ctx = random_context(rng, rng.randint(0, 12), rng.randint(0, 10), rng.uniform(0.05, 0.95))
         if k % 4 == 0:
@@ -184,14 +187,30 @@ def test_walk_and_covers_match_next_closure_and_polar_covers():
         assert export_dot(lat) == oracle_dot(lat, covers)
 
 
-@pytest.mark.parametrize("n, m, seed", [(30, 30, 3), (40, 20, 7)])
+@pytest.mark.parametrize("n, m, seed", [(30, 30, 3), (40, 20, 7), (2000, 3, 13)])
 def test_walk_spends_at_most_two_closures_per_concept(monkeypatch, n, m, seed):
+    """A closure is the polar of a candidate intent, on the side walked.
+    ``close_extent_mask``, which took the closures before, is counted too.
+    Each lattice has over 1000 concepts, or every attribute set as an
+    intent."""
     ctx = random_context(random.Random(seed), n, m, 0.5)
-    close = Context.close_extent_mask
     calls = []
-    monkeypatch.setattr(Context, "close_extent_mask", lambda self, mask: calls.append(mask) or close(self, mask))
+    for name in ("polar_down_mask", "close_extent_mask"):
+        method = getattr(Context, name)
+        monkeypatch.setattr(Context, name, lambda self, mask, method=method: calls.append(mask) or method(self, mask))
     lat = enumerate_concepts(ctx)
-    assert len(lat) > 1000 and len(calls) <= 2 * len(lat)
+    assert len(lat) > min(1000, 2**m - 1) and len(calls) <= 2 * len(lat)
+
+
+def test_transpose_swaps_the_labels_and_the_incidence():
+    rng = random.Random(59)
+    for n, m in ((0, 0), (0, 3), (3, 0), (1, 1), (4, 7), (70, 3)):
+        ctx = random_context(rng, n, m)
+        cells = [[ctx.incidence[g][j] for g in range(n)] for j in range(m)]
+        assert ctx.T == Context(ctx.attributes, ctx.objects, cells)
+        assert ctx.T.T == ctx and ctx.T is ctx.T
+        dual = enumerate_concepts(ctx.T).concepts
+        assert {Concept(c.intent, c.extent) for c in dual} == set(enumerate_concepts(ctx).concepts)
 
 
 def test_three_thousand_objects_match_the_oracles():
