@@ -5,9 +5,10 @@ objects and subsets of attributes; the pairs fixed by both closures are
 the concepts.  A context holds the relation as one read-only bool array
 in core's TRUTH encoding, which ``to_profunctor`` wraps, and ``T`` is the
 transposed context, whose concepts are the same pairs with the sides
-swapped and the order reversed.  Subsets are bitmask integers, and one
-polar kernel serves both sides (0 the objects, 1 the attributes) from the
-array's rows and columns packed into masks, walking only the set bits.
+swapped and the order reversed.  Subsets are bitmask integers.  Every
+kernel reads the objects (label positions, each object's attributes packed
+once into a mask, the polar walking a mask's set bits), and the attributes
+are the objects of ``T``, whose ``T`` is the context again.
 The lattice is built on the smaller side: on the transposed context when
 there are fewer attributes than objects.  FCbO enumerates every concept
 once, keeping the intents found so far in a table, so a candidate already
@@ -65,7 +66,7 @@ class Context:
     """Objects, attributes and their incidence as one read-only bool array in
     TRUTH's encoding, a row per object, given as such or as rows of truth
     values (0/1 included).  ``incidence`` is its tuple view, built when read;
-    the polars read its rows and columns packed once into bitmask integers."""
+    the kernels read its rows, packed once into masks, and ``T`` its columns."""
 
     objects: tuple[str, ...]
     attributes: tuple[str, ...]
@@ -110,41 +111,42 @@ class Context:
         blank = cls(objects, attributes, np.zeros((len(objects), len(attributes)), dtype=bool))
         grid = blank.incidence_array.copy()
         for g, m in pairs:
-            grid[blank._position(g, 0), blank._position(m, 1)] = True
+            grid[blank._position(g), blank.T._position(m)] = True
         return cls(blank.objects, blank.attributes, grid)
 
     @cached_property
     def T(self) -> "Context":
         """The transposed context: the attributes as objects, the objects as
-        attributes, and the incidence array transposed."""
-        return Context(self.attributes, self.objects, self.incidence_array.T)
+        attributes, the array transposed, and this context as its ``T``."""
+        transposed = Context(self.attributes, self.objects, self.incidence_array.T)
+        transposed.__dict__["T"] = self
+        return transposed
 
     @cached_property
-    def _index(self) -> tuple[dict[str, int], dict[str, int]]:
-        return tuple({label: i for i, label in enumerate(side)} for side in (self.objects, self.attributes))
+    def _index(self) -> dict[str, int]:
+        return {label: i for i, label in enumerate(self.objects)}
 
     @cached_property
-    def _masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        # side 0: per object, the mask of its attributes; side 1: per attribute, its objects
-        grid = self.incidence_array
-        packed = (np.packbits(g, axis=1, bitorder="little") for g in (grid, grid.T))
-        return tuple(tuple(int.from_bytes(row.tobytes(), "little") for row in side) for side in packed)
+    def _rows(self) -> tuple[int, ...]:
+        # per object, the mask of its attributes
+        packed = np.packbits(self.incidence_array, axis=1, bitorder="little")
+        return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
-    def _position(self, label: str, side: int) -> int:
-        i = self._index[side].get(label)
+    def _position(self, label: str) -> int:
+        i = self._index.get(label)
         if i is None:
-            raise UnknownLabelError(f"unknown {('object', 'attribute')[side]} {label!r}")
+            raise UnknownLabelError(f"unknown label {label!r}")
         return i
 
-    def _mask_of(self, labels: Iterable[str], side: int) -> int:
+    def object_mask(self, labels: Iterable[str]) -> int:
         mask = 0
         for label in labels:
-            mask |= 1 << self._position(label, side)
+            mask |= 1 << self._position(label)
         return mask
 
-    def _labels_of(self, mask: int, side: int) -> tuple[str, ...]:
-        # set bits only, lowest first; bits past the last label are ignored
-        labels = (self.objects, self.attributes)[side]
+    def object_labels(self, mask: int) -> tuple[str, ...]:
+        # set bits only, lowest first; bits past the last object are ignored
+        labels = self.objects
         mask &= (1 << len(labels)) - 1
         out = []
         while mask:
@@ -153,36 +155,20 @@ class Context:
             mask ^= low
         return tuple(out)
 
-    def _polar(self, mask: int, side: int) -> int:
-        """The members of the other side related to every member of ``mask``."""
-        rows = self._masks[side]
-        out = (1 << len(self._masks[1 - side])) - 1
-        while mask:
-            low = mask & -mask
+    def polar_up_mask(self, object_mask: int) -> int:
+        rows = self._rows
+        out = (1 << len(self.attributes)) - 1
+        while object_mask:
+            low = object_mask & -object_mask
             out &= rows[low.bit_length() - 1]
-            mask ^= low
+            object_mask ^= low
         return out
 
-    def object_mask(self, labels: Iterable[str]) -> int:
-        return self._mask_of(labels, 0)
-
-    def attribute_mask(self, labels: Iterable[str]) -> int:
-        return self._mask_of(labels, 1)
-
-    def object_labels(self, mask: int) -> tuple[str, ...]:
-        return self._labels_of(mask, 0)
-
-    def attribute_labels(self, mask: int) -> tuple[str, ...]:
-        return self._labels_of(mask, 1)
-
-    def polar_up_mask(self, object_mask: int) -> int:
-        return self._polar(object_mask, 0)
-
     def polar_down_mask(self, attribute_mask: int) -> int:
-        return self._polar(attribute_mask, 1)
+        return self.T.polar_up_mask(attribute_mask)
 
     def close_extent_mask(self, object_mask: int) -> int:
-        return self._polar(self._polar(object_mask, 0), 1)
+        return self.T.polar_up_mask(self.polar_up_mask(object_mask))
 
     def to_profunctor(self):
         """The incidence relation as a truth-valued profunctor, for use with
@@ -209,12 +195,12 @@ class Concept:
 def polar_up(ctx: Context, objects: Iterable[str]) -> tuple[str, ...]:
     """Attributes shared by every object in the subset; all of them for the
     empty subset."""
-    return ctx.attribute_labels(ctx.polar_up_mask(ctx.object_mask(objects)))
+    return ctx.T.object_labels(ctx.polar_up_mask(ctx.object_mask(objects)))
 
 
 def polar_down(ctx: Context, attributes: Iterable[str]) -> tuple[str, ...]:
-    """Objects carrying every attribute in the subset."""
-    return ctx.object_labels(ctx.polar_down_mask(ctx.attribute_mask(attributes)))
+    """Objects carrying every attribute in the subset: polar_up on ``ctx.T``."""
+    return polar_up(ctx.T, attributes)
 
 
 def close_extent(ctx: Context, objects: Iterable[str]) -> tuple[str, ...]:
@@ -252,12 +238,13 @@ def _lectic_closed_extents(ctx: Context) -> list[tuple[int, int]]:
     costs a polar, about 1.2 per concept on random contexts; children run
     in ascending j, as FCbO recurses, which fills the table before most
     lookups.  On ``ctx.T`` each pair is swapped back.  Sorting by the
-    bit-reversed extent gives the order.
+    extent's little-endian bytes, each bit-reversed, gives the order: the
+    key compares label 0 first.
     """
     transposed = _transposed(ctx)
     walked = ctx.T if transposed else ctx
     n = len(walked.objects)
-    rows = walked._masks[0]
+    rows = walked._rows
     all_attributes = (1 << len(walked.attributes)) - 1
     bottom = walked.polar_down_mask(all_attributes)
     found = {all_attributes: bottom}
@@ -281,8 +268,11 @@ def _lectic_closed_extents(ctx: Context) -> list[tuple[int, int]]:
             failed[j] = closed
         stack.extend(reversed(children))
     pairs = found.items() if transposed else ((e, b) for b, e in found.items())
-    width = len(ctx.objects)
-    return sorted(pairs, key=lambda c: f"{c[0]:0{width}b}"[::-1])
+    nbytes = (len(ctx.objects) + 7) // 8
+    return sorted(pairs, key=lambda c: c[0].to_bytes(nbytes, "little").translate(_REVERSED_BITS))
+
+
+_REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def _upper_neighbours(ctx: Context, extents: Sequence[int], intents: Sequence[int]) -> list[tuple[int, int]]:
@@ -293,7 +283,7 @@ def _upper_neighbours(ctx: Context, extents: Sequence[int], intents: Sequence[in
     intent to index finds it with no polar.  The candidate is an upper
     neighbour unless it holds another object still marked minimal beyond
     A, in which case g stops being minimal.  O(n |G|) word operations."""
-    rows = ctx._masks[0]
+    rows = ctx._rows
     index = {b: i for i, b in enumerate(intents)}
     full = (1 << len(ctx.objects)) - 1
     edges = []
@@ -359,7 +349,7 @@ class ConceptLattice:
 def enumerate_concepts(ctx: Context) -> ConceptLattice:
     """Complete concept set in lectic order of the extents."""
     pairs = _lectic_closed_extents(ctx)
-    concepts = tuple(Concept(ctx.object_labels(e), ctx.attribute_labels(b)) for e, b in pairs)
+    concepts = tuple(Concept(ctx.object_labels(e), ctx.T.object_labels(b)) for e, b in pairs)
     extents, intents = zip(*pairs)  # there is always a bottom concept
     return ConceptLattice(concepts, extents, ctx, intents)
 
@@ -368,14 +358,15 @@ def _masks_of(ctx: Context, concept: Concept) -> tuple[int, int]:
     """The extent and intent masks of a concept of the context: each side's
     labels known, in context order without repeats, and each side the
     other's polar."""
-    masks = [0, 0]
-    for side, labels in enumerate((concept.extent, concept.intent)):
-        index = ctx._index[side]
+    masks = []
+    for index, labels in ((ctx._index, concept.extent), (ctx.T._index, concept.intent)):
+        mask = 0
         for label in labels:
             i = index.get(label, -1)
-            if i < 0 or masks[side] >> i:  # unknown, or not after every label before it
+            if i < 0 or mask >> i:  # unknown, or not after every label before it
                 raise NotAConceptError(f"not a concept of this context: {concept}")
-            masks[side] |= 1 << i
+            mask |= 1 << i
+        masks.append(mask)
     extent, intent = masks
     if ctx.polar_up_mask(extent) != intent or ctx.polar_down_mask(intent) != extent:
         raise NotAConceptError(f"not a concept of this context: {concept}")
@@ -386,14 +377,14 @@ def lattice_meet(ctx: Context, c1: Concept, c2: Concept) -> Concept:
     """Greatest common subconcept: intersect extents (already closed); the
     intent is the polar of the intersection."""
     extent = _masks_of(ctx, c1)[0] & _masks_of(ctx, c2)[0]
-    return Concept(ctx.object_labels(extent), ctx.attribute_labels(ctx.polar_up_mask(extent)))
+    return Concept(ctx.object_labels(extent), ctx.T.object_labels(ctx.polar_up_mask(extent)))
 
 
 def lattice_join(ctx: Context, c1: Concept, c2: Concept) -> Concept:
     """Least common superconcept: intersect intents (already closed); the
     extent is the polar of the intersection."""
     intent = _masks_of(ctx, c1)[1] & _masks_of(ctx, c2)[1]
-    return Concept(ctx.object_labels(ctx.polar_down_mask(intent)), ctx.attribute_labels(intent))
+    return Concept(ctx.object_labels(ctx.polar_down_mask(intent)), ctx.T.object_labels(intent))
 
 
 def export_dot(lattice: ConceptLattice) -> str:
@@ -430,6 +421,8 @@ def parse_cxt(text: str) -> Context:
     counts = []
     for what, (lineno, ln) in zip(whats, body):
         try:
+            if "_" in ln or not ln.isascii():  # int reads 0_1 and non-ASCII digits
+                raise ValueError
             counts.append(int(ln))
         except ValueError:
             raise FormatError(f"expected {what}, got {lines[lineno - 1]!r}", line=lineno) from None

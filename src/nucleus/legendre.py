@@ -135,9 +135,13 @@ class Grid:
 
     @classmethod
     def from_range(cls, lo: float, hi: float, step: float) -> "Grid":
-        """Points lo, lo+step, ... up to hi; hi itself is included when the
-        step divides the range (up to float noise), never overshot.  A range
-        of more than MAX_GRID_POINTS points is refused before it is built."""
+        """Points lo + i*step for i = 0, ..., count, where count is
+        (hi - lo)/step rounded to the nearest integer when within 1e-6 of it,
+        and rounded down otherwise.  So hi is included when the step divides
+        the range up to float noise, and the last point, lo + count*step, can
+        pass hi by rounding: (0, 0.3, 0.1) ends at 0.30000000000000004.  A
+        range of more than MAX_GRID_POINTS points is refused before it is
+        built."""
         if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
             raise ValueError("range bounds and step must be finite")
         if hi < lo:

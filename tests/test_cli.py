@@ -386,6 +386,14 @@ def test_csv_context_with_the_one_column_label_b_is_read_as_csv(tmp_path, capsys
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
+def test_cxt_count_with_an_underscore_or_a_non_ascii_digit_exits_two(tmp_path, capsys):
+    for count in ("0_1", "\u0661"):
+        path = tmp_path / "u.cxt"
+        path.write_text(f"B\n\n{count}\n1\ng\nm\nX\n", encoding="utf-8")
+        assert run(["concepts", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: line 3: expected object count, got {count!r}\n"
+
+
 def test_cxt_line_after_the_incidence_rows_names_file_and_line(tmp_path, capsys):
     path = write(tmp_path, "tail.cxt", "B\n\n1\n1\ng\nm\nX\n.\nX\nfoo bar\n")
     assert run(["concepts", path]) == 2

@@ -80,10 +80,22 @@ def test_polar_down_examples():
 
 
 def test_polar_unknown_labels():
-    with pytest.raises(UnknownLabelError):
-        polar_up(WORKED, {"nope"})
-    with pytest.raises(UnknownLabelError):
-        polar_down(WORKED, {"z"})
+    # each side, on the context and its transpose
+    for ctx in (WORKED, WORKED.T):
+        g, m = ctx.objects[0], ctx.attributes[0]
+        for call, label in (
+            (lambda: polar_up(ctx, [g, "zz"]), "zz"),
+            (lambda: polar_up(ctx, [m]), m),  # an attribute is no object
+            (lambda: polar_down(ctx, [m, "zz"]), "zz"),
+            (lambda: polar_down(ctx, [g]), g),
+            (lambda: close_extent(ctx, ["zz"]), "zz"),
+            (lambda: close_extent(ctx, [m]), m),
+            (lambda: Context.from_pairs(ctx.objects, ctx.attributes, [(g, m), ("zz", m)]), "zz"),
+            (lambda: Context.from_pairs(ctx.objects, ctx.attributes, [(g, m), (g, "zz")]), "zz"),
+        ):
+            with pytest.raises(UnknownLabelError) as e:
+                call()
+            assert str(e.value) == f"unknown label {label!r}"
 
 
 def test_close_extent_examples():
@@ -387,6 +399,20 @@ def test_cxt_refuses_a_line_after_the_incidence_rows():
     assert e.value.line == 8
     # blank trailing lines stay allowed
     assert parse_cxt("B\n\n1\n1\ng\nm\nX\n\n  \n\t\n") == Context(("g",), ("m",), [[1]])
+
+
+def test_cxt_counts_are_ascii_digits_without_underscores():
+    # int alone reads each of these as a count
+    for text, line, what, token in (
+        ("B\n\n0_1\n1\ng\nm\nX\n", 3, "object count", "0_1"),
+        ("B\n\n\u0661\n1\ng\nm\nX\n", 3, "object count", "\u0661"),
+        ("B\n\n1\n1_0\ng\nm\nX\n", 4, "attribute count", "1_0"),
+        ("B\n\n1\n\uff11\ng\nm\nX\n", 4, "attribute count", "\uff11"),
+    ):
+        with pytest.raises(FormatError) as e:
+            parse_cxt(text)
+        assert (str(e.value), e.value.line) == (f"line {line}: expected {what}, got {token!r}", line)
+    assert parse_cxt("B\n\n+1\n 1 \ng\nm\nX\n") == Context(("g",), ("m",), [[1]])
 
 
 def test_context_csv_round_trip():

@@ -94,16 +94,16 @@ def oracle_polar_covers(ctx, extents):
     each extent A with intent B, an object g outside A gives the extent
     (B & row_g)'; g stops being minimal when that extent holds another
     object still marked minimal."""
-    rows = ctx._masks[0]
+    rows = ctx._rows
     index = {e: i for i, e in enumerate(extents)}
     edges = []
     for i, extent in enumerate(extents):
-        intent = ctx._polar(extent, 0)
+        intent = ctx.polar_up_mask(extent)
         minimal = rest = (1 << len(ctx.objects)) - 1 & ~extent
         while rest:
             low = rest & -rest
             rest ^= low
-            upper = ctx._polar(intent & rows[low.bit_length() - 1], 1)
+            upper = ctx.T.polar_up_mask(intent & rows[low.bit_length() - 1])
             if upper & minimal & ~low:
                 minimal ^= low
             else:
@@ -213,6 +213,15 @@ def test_transpose_swaps_the_labels_and_the_incidence():
         assert {Concept(c.intent, c.extent) for c in dual} == set(enumerate_concepts(ctx).concepts)
 
 
+def test_the_transpose_of_the_transpose_is_the_context():
+    """``T`` is built once per pair: the transposed context's ``T`` is the
+    context itself, and its polar up is the context's polar down."""
+    ctx = random_context(random.Random(61), 6, 4)
+    assert ctx.T.T is ctx and ctx.T.T.T is ctx.T
+    for mask in range(1 << 4):
+        assert ctx.polar_down_mask(mask) == ctx.T.polar_up_mask(mask)
+
+
 def test_three_thousand_objects_match_the_oracles():
     ctx = random_context(random.Random(53), 3000, 2, 0.5)
     lat = enumerate_concepts(ctx)
@@ -271,11 +280,11 @@ def test_set_bit_kernels_match_the_per_bit_loops():
                 masks |= {1, top, 1 | top, full ^ 1, full ^ top}
                 masks |= {rng.getrandbits(width) for _ in range(20)}
             for mask in masks:
-                assert ctx._polar(mask, side) == oracle_polar(ctx, mask, side)
-                assert ctx._labels_of(mask, side) == oracle_labels(ctx, mask, side)
+                assert (ctx, ctx.T)[side].polar_up_mask(mask) == oracle_polar(ctx, mask, side)
+                assert (ctx, ctx.T)[side].object_labels(mask) == oracle_labels(ctx, mask, side)
                 # bits past the last label name nothing
                 stray = mask | 1 << width + 3
-                assert ctx._labels_of(stray, side) == oracle_labels(ctx, stray, side)
+                assert (ctx, ctx.T)[side].object_labels(stray) == oracle_labels(ctx, stray, side)
 
 
 @pytest.mark.parametrize(
