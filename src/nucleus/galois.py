@@ -65,8 +65,9 @@ class NotAConceptError(ValueError):
 class Context:
     """Objects, attributes and their incidence as one read-only bool array in
     TRUTH's encoding, a row per object, given as such or as rows of truth
-    values (0/1 included).  ``incidence`` is its tuple view, built when read;
-    the kernels read its rows, packed once into masks, and ``T`` its columns."""
+    values, bools or the integers 0 and 1.  ``incidence`` is its tuple view,
+    built when read; the kernels read its rows, packed once into masks, and
+    ``T`` its columns."""
 
     objects: tuple[str, ...]
     attributes: tuple[str, ...]
@@ -80,7 +81,11 @@ class Context:
         if len(set(self.attributes)) != len(self.attributes):
             raise ValueError("attribute labels must be unique")
         shape = (len(self.objects), len(self.attributes))
-        grid = np.array(self.incidence_array, dtype=bool)
+        cells = np.array(self.incidence_array)
+        # bool() would read any number, text or None as a truth value
+        if cells.size and not (cells.dtype == bool or cells.dtype.kind in "iu" and np.isin(cells, (0, 1)).all()):
+            raise ValueError("incidence cells must be truth values: bools or the integers 0 and 1")
+        grid = cells.astype(bool, copy=False)
         if grid.shape == (0,):  # no rows, so no width to read
             grid = grid.reshape(0, shape[1])
         if grid.shape != shape:

@@ -3,8 +3,10 @@
 A sampled function is a finite strictly increasing grid of abscissae
 with one extended-real value per point; it stands for the function that
 equals its samples on the grid and +inf elsewhere.  It is core's
-``EXT_REAL`` vector on the grid, on the PRE side when primal and the
-OPCO side when dual, and all but the transforms is core's on it.  The
+``EXT_REAL`` vector, a :class:`~nucleus.core.PresheafVector` that adds
+its grid, on the side its ``Space`` names: PRE when primal, OPCO when
+dual.  All but the transforms is core's on it, called on the function
+itself.  The
 source paper's R-bar-structure on function spaces, a distance that is
 asymmetric and can be negative, is :func:`~nucleus.core.hom_distance`:
 ``climb_distance`` on PRE, ``fall_distance`` on OPCO.  Its two tropical
@@ -91,8 +93,8 @@ _BLOCK_CELLS = 1 << 20
 
 
 class Space(Enum):
-    PRIMAL = "primal"
-    DUAL = "dual"
+    PRIMAL = core.Side.PRE
+    DUAL = core.Side.OPCO
 
 
 class Relation(Enum):
@@ -105,9 +107,20 @@ class CheckStatus(Enum):
     HYPOTHESIS_NOT_MET = "HYPOTHESIS_NOT_MET"
 
 
+def _refuse_text(cells: list | np.ndarray, what: str) -> None:
+    """Text among the cells, numpy's string arrays included, is a TypeError,
+    as core's encoding refuses a scalar of the wrong type: float would read
+    ``'1_0'`` as 10, a rule other than the file token rule."""
+    if isinstance(cells, np.ndarray):
+        cells = cells.flat if cells.dtype.kind in "OSU" else ()
+    if isinstance(cells, (str, bytes)) or any(isinstance(c, (str, bytes)) for c in cells):
+        raise TypeError(f"{what} must be numbers, not text")
+
+
 @dataclass(frozen=True, init=False, eq=False, repr=False)
 class Grid:
-    """Strictly increasing finite abscissae, from any sequence or float64 array.
+    """Strictly increasing finite abscissae, from a sequence or an array of
+    numbers; text is refused.
 
     ``as_array`` is the read-only array the points were checked on;
     ``points`` is its tuple view, built when first read.
@@ -117,7 +130,9 @@ class Grid:
         self.__post_init__(points)  # the checks, under the name perfbench's tracer wraps
 
     def __post_init__(self, points) -> None:
-        arr = np.array(points, dtype=np.float64)
+        arr = np.array(points)
+        _refuse_text(arr, "grid points")
+        arr = arr.astype(np.float64, copy=False)
         if arr.ndim != 1:
             raise ValueError("grid points must form one sequence")
         if not arr.size:
@@ -170,49 +185,44 @@ class Grid:
         return f"Grid(points={self.points!r})"
 
 
-class SampledFunction:
+@dataclass(frozen=True, init=False, eq=False, repr=False)
+class SampledFunction(core.PresheafVector):
     """Grid plus one extended-real value per point: core's EXT_REAL vector
-    on the grid, on the PRE side for a primal function and the OPCO side
-    for a dual one.  The ExtReal tuple view is built only when read, so
-    transform pipelines never build per-cell objects.
+    with its grid, on the side its space names, ``Space(f.side)``.  Values
+    are an array or a sequence of numbers and ExtReals; text is refused.
+    The ExtReal tuple view is built only when read, so transform pipelines
+    never build per-cell objects.  Equal to a function on an equal grid
+    with equal cells, never to a plain vector; unhashable.
     """
 
-    __slots__ = ("grid", "space", "_vector")
+    grid: Grid
 
     def __init__(self, grid: Grid, values, space: Space):
-        if not isinstance(values, np.ndarray):
+        values = values if isinstance(values, (np.ndarray, str, bytes)) else list(values)
+        _refuse_text(values, "function values")
+        if isinstance(values, list):
             values = [v.to_float() if isinstance(v, ExtReal) else float(v) for v in values]
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 1 or len(arr) != len(grid):
             raise ValueError("need exactly one value per grid point")
-        self.grid = grid
-        self.space = space
-        side = core.Side.PRE if space is Space.PRIMAL else core.Side.OPCO
-        self._vector = core.PresheafVector(arr, side, EXT_REAL)
+        object.__setattr__(self, "grid", grid)
+        super().__init__(arr, space.value, EXT_REAL)
 
     @property
-    def values(self) -> tuple[ExtReal, ...]:
-        return self._vector.values
-
-    @property
-    def values_array(self) -> np.ndarray:
-        return self._vector.values_array
+    def space(self) -> Space:
+        return Space(self.side)
 
     def value_at(self, index: int) -> ExtReal:
         return ext.from_float(float(self.values_array[index]))
 
-    def __len__(self) -> int:
-        return len(self.grid)
-
     def __eq__(self, other) -> bool:
-        if not isinstance(other, SampledFunction):
+        if not isinstance(other, core.PresheafVector):
             return NotImplemented
-        return self.grid == other.grid and self._vector == other._vector
-
-    __hash__ = None
+        # False, not NotImplemented, for a plain vector, whose own == would say True
+        return isinstance(other, SampledFunction) and self.grid == other.grid and super().__eq__(other)
 
     def __repr__(self) -> str:
-        return f"SampledFunction({self.space.value}, {len(self)} points)"
+        return f"SampledFunction({self.space.name.lower()}, {len(self)} points)"
 
 
 @dataclass(frozen=True)
@@ -246,7 +256,7 @@ class DualityReport:
 
 def _require_space(f: SampledFunction, space: Space, what: str) -> None:
     if f.space is not space:
-        raise ValueError(f"{what} must be a {space.value} function")
+        raise ValueError(f"{what} must be a {space.name.lower()} function")
 
 
 def _require_pair(a: SampledFunction, b: SampledFunction, space: Space, what: str) -> None:
@@ -381,13 +391,13 @@ def biconjugate(f: SampledFunction, dual: Grid) -> SampledFunction:
 def climb_distance(f1: SampledFunction, f2: SampledFunction) -> ExtReal:
     """Largest climb from f1 up to f2: max over the grid of f2(x) - f1(x)."""
     _require_pair(f1, f2, Space.PRIMAL, "climb_distance input")
-    return core.hom_distance(f1._vector, f2._vector)
+    return core.hom_distance(f1, f2)
 
 
 def fall_distance(g1: SampledFunction, g2: SampledFunction) -> ExtReal:
     """Largest fall from g1 down to g2: max over slopes of g1(k) - g2(k)."""
     _require_pair(g1, g2, Space.DUAL, "fall_distance input")
-    return core.hom_distance(g1._vector, g2._vector)
+    return core.hom_distance(g1, g2)
 
 
 def check_lf_adjunction(
@@ -415,7 +425,7 @@ def check_short(
     tol: float = DEFAULT_TOL,
 ) -> DualityReport:
     """Conjugation never increases distance: climb(f1,f2) >= fall(conj f1, conj f2)."""
-    lhs, rhs = _climb_and_fall(f1, f2, dual, tol, "shortness check")
+    lhs, rhs, _ = _climb_and_fall(f1, f2, dual, tol, "shortness check")
     holds = ext.geq_within(lhs, rhs, tol)
     return DualityReport(lhs=lhs, rhs=rhs, relation=Relation.GEQ, holds=holds, tolerance=tol)
 
@@ -432,8 +442,8 @@ def check_toland_singer(
     slope grid; when it is not, the report carries HYPOTHESIS_NOT_MET
     so the failure is not mistaken for a duality violation.
     """
-    lhs, rhs = _climb_and_fall(f1, f2, dual, tol, "duality check")
-    hull2 = biconjugate(f2, dual)
+    lhs, rhs, conj2 = _climb_and_fall(f1, f2, dual, tol, "duality check")
+    hull2 = reverse_conjugate(conj2, f2.grid)  # the biconjugate of f2
     hypothesis_ok = ext.approx_equal_arrays(hull2.values_array, f2.values_array, tol)
     status = CheckStatus.OK if hypothesis_ok else CheckStatus.HYPOTHESIS_NOT_MET
     holds = hypothesis_ok and ext.approx_equal(lhs, rhs, tol)
@@ -444,12 +454,14 @@ def check_toland_singer(
 
 def _climb_and_fall(
     f1: SampledFunction, f2: SampledFunction, dual: Grid, tol: float, what: str
-) -> tuple[ExtReal, ExtReal]:
+) -> tuple[ExtReal, ExtReal, SampledFunction]:
     """climb(f1, f2) and fall(conj f1, conj f2), the two sides that shortness
-    and Toland-Singer compare, once the tolerance and the pair are checked."""
+    and Toland-Singer compare, once the tolerance and the pair are checked,
+    and conj f2, which Toland-Singer's hypothesis conjugates back."""
     ext._check_tol(tol)
     _require_pair(f1, f2, Space.PRIMAL, what)
-    return climb_distance(f1, f2), fall_distance(conjugate(f1, dual), conjugate(f2, dual))
+    conj1, conj2 = conjugate(f1, dual), conjugate(f2, dual)
+    return climb_distance(f1, f2), fall_distance(conj1, conj2), conj2
 
 
 def convex_hull_oracle(f: SampledFunction) -> SampledFunction:
@@ -557,7 +569,7 @@ def _pointwise(fold, empty: ExtReal, fs: Sequence[SampledFunction], grid: Grid |
         raise ValueError("an empty family needs an explicit grid")
     if not fs:
         return SampledFunction(grid, np.full(len(grid), empty.to_float()), Space.PRIMAL)
-    return SampledFunction(grid, fold([f._vector for f in fs]).values_array, Space.PRIMAL)
+    return SampledFunction(grid, fold(fs).values_array, Space.PRIMAL)
 
 
 def cvx_combine(
@@ -588,7 +600,7 @@ def cvx_scale(kind: LimitKind, a: ExtReal, f: SampledFunction) -> SampledFunctio
     actions = {LimitKind.TENSOR: core.tensor_each, LimitKind.COTENSOR: core.residuate_each}
     if kind not in actions:
         raise ValueError(f"cvx_scale handles TENSOR and COTENSOR, got {kind!r}")
-    return SampledFunction(f.grid, actions[kind](a, f._vector).values_array, Space.PRIMAL)
+    return SampledFunction(f.grid, actions[kind](a, f).values_array, Space.PRIMAL)
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +650,9 @@ def _read_function(header, labels, cells, numbers) -> tuple[np.ndarray, np.ndarr
 def render_function_csv(f: SampledFunction) -> str:
     """The ``x,value`` text of ``f``, header included, one row per sample
     in grid order: each cell as its shortest round-trip ``repr``, ``inf``
-    and ``-inf`` for the infinities and ``-0.0`` kept, so that the token
-    rule of :func:`parse_function_csv` reads back an equal function."""
+    and ``-inf`` for the infinities, so that the token rule of
+    :func:`parse_function_csv` reads back an equal function.  An abscissa
+    keeps the sign of its zero; a value is canonical, as core's encoding
+    stores it, so a value of ``-0.0`` is written ``0.0``."""
     rows = zip(f.grid.as_array.tolist(), f.values_array.tolist())
     return "x,value\n" + "".join([f"{x!r},{v!r}\n" for x, v in rows])

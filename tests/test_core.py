@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -27,6 +28,8 @@ from nucleus.core import (
     is_fixed,
     nucleus_limit,
     parse_matrix_csv,
+    pointwise_join,
+    pointwise_meet,
     pull,
     push,
     render_matrix_csv,
@@ -435,3 +438,44 @@ def test_nucleus_limit_refuses_a_negative_or_nan_tolerance(tol):
     with pytest.raises(ValueError, match="nonnegative"):
         nucleus_limit(m, LimitKind.PRODUCT, [], tol=tol)
     assert nucleus_limit(m, LimitKind.PRODUCT, [pair], tol=float("inf")) == pair
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: push(M_TRUTH, pre((ZERO, ZERO, ZERO), EXT_REAL)),
+            ValueError,
+            "vector and profunctor use different quantales",
+        ),
+        (
+            lambda: pull(M_TRUTH, opco((ZERO, ZERO), EXT_REAL)),
+            ValueError,
+            "vector and profunctor use different quantales",
+        ),
+        (lambda: hom_distance(pre((True,)), pre((ZERO,), EXT_REAL)), ValueError, "vectors use different quantales"),
+        (
+            lambda: compose_profunctors(M_TRUTH, pairing_profunctor([0.0, 1.0], [0.0])),
+            ValueError,
+            "profunctors use different quantales",
+        ),
+        (lambda: pointwise_meet([pre((True,)), opco((True,))]), ValueError, "vectors must share a side"),
+        (lambda: pointwise_meet([pre((True,)), pre((ZERO,), EXT_REAL)]), ValueError, "vectors must share a quantale"),
+        (lambda: pointwise_join([pre((True,)), pre((True, False))]), SizeMismatchError, "vectors must share a length"),
+        (lambda: nucleus_limit(M_TRUTH, "sum"), ValueError, "unknown limit kind: 'sum'"),
+        (
+            lambda: render_matrix_csv(("r",), ("c1", "c2"), Profunctor(((ZERO,),), EXT_REAL)),
+            SizeMismatchError,
+            "label counts do not match the matrix",
+        ),
+    ],
+    ids=["push", "pull", "hom", "compose", "side", "quantale", "length", "kind", "labels"],
+)
+def test_core_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_rspace_summary_of_an_ok_report():
+    summary = check_rspace_axioms(((ZERO, fin(1)), (fin(-1), ZERO))).summary()
+    assert summary == "ok: triangle inequality holds and every self-distance is 0 or -inf"

@@ -494,3 +494,27 @@ def test_cxt_and_csv_round_trips(n, m, data):
     assert again == ctx and hash(again) == hash(ctx) and again.incidence == ctx.incidence
     if m:  # a CSV table needs a column label
         assert parse_context_csv(render_context_csv(ctx)) == ctx
+
+
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        ("", "unexpected end of file while reading the format marker", None),
+        ("B", "unexpected end of file while reading the name line", None),
+        ("B\n\n-1\n0\n", "line 3: object count may not be negative", 3),
+        ("B\n\n3\n", "unexpected end of file while reading attribute count", None),
+    ],
+)
+def test_cxt_refusals_before_the_names(text, message, line):
+    with pytest.raises(FormatError) as e:
+        parse_cxt(text)
+    assert (str(e.value), e.value.line) == (message, line)
+
+
+@pytest.mark.parametrize(
+    "rows", [[[2]], [[0.5]], [[1.0]], [[-1]], [["x"]], [[None]], np.array([[2]]), np.array([["1"]])], ids=repr
+)
+def test_context_cells_are_bools_or_the_integers_0_and_1(rows):
+    # bool() reads each of these as a truth value
+    with pytest.raises(ValueError, match="incidence cells must be truth values"):
+        Context(("g",), ("m",), rows)

@@ -11,7 +11,7 @@ import pytest
 
 from nucleus import extreal as ext
 from nucleus import legendre
-from nucleus.core import FormatError, LimitKind, SizeMismatchError
+from nucleus.core import EXT_REAL, FormatError, LimitKind, PresheafVector, Side, SizeMismatchError, hom_distance
 from nucleus.extreal import NEG_INF, POS_INF, ZERO
 from nucleus.legendre import (
     CheckStatus,
@@ -639,3 +639,50 @@ def test_duality_report_text_is_its_json_keys():
     assert report.render_text() == (
         "lhs 3.0\nrhs 0.0\nrelation EQUAL\nholds false\ntolerance 1e-09\nstatus HYPOTHESIS_NOT_MET"
     )
+
+
+def test_a_function_is_no_plain_vector():
+    f = primal([0.0, 1.0], [1.0, 2.0])
+    v = PresheafVector(f.values_array, Side.PRE, EXT_REAL)
+    assert repr(f) == "SampledFunction(primal, 2 points)"
+    assert repr(dual_fn([0.0], [0.0])) == "SampledFunction(dual, 1 points)"
+    assert not f == v and not v == f and f != v and v != f
+    with pytest.raises(TypeError):
+        hash(f)
+    with pytest.raises(ValueError, match="^conjugate input must be a primal function$"):
+        conjugate(dual_fn([0.0], [0.0]), f.grid)
+
+
+def test_a_function_is_core_vector_on_the_side_its_space_names():
+    f, g = primal([0.0, 1.0], [1.0, 2.0]), dual_fn([0.0, 1.0], [1.0, 2.0])
+    assert isinstance(f, PresheafVector) and f.side is Side.PRE and g.side is Side.OPCO
+    assert f.space is Space(f.side) is Space.PRIMAL and g.space is Space(g.side) is Space.DUAL
+    h = primal([0.0, 1.0], [4.0, 2.0])
+    assert hom_distance(f, h) == climb_distance(f, h) == fin(3.0)
+    assert f != g and f != primal([0.0, 2.0], [1.0, 2.0])
+
+
+TEXT_CELLS = [["1_0"], "12", b"12", np.array(["0", "1"]), [b"1"], np.array(["1"], dtype=object)]
+
+
+@pytest.mark.parametrize("cells", TEXT_CELLS, ids=repr)
+def test_grids_and_functions_refuse_text(cells):
+    # each used to be read as numbers, by float or cell by cell, not by the file token rule
+    with pytest.raises(TypeError, match="grid points must be numbers, not text"):
+        Grid(cells)
+    with pytest.raises(TypeError, match="function values must be numbers, not text"):
+        SampledFunction(Grid(range(len(cells))), cells, Space.PRIMAL)
+
+
+def test_toland_singer_conjugates_each_function_once(monkeypatch):
+    calls = []
+
+    def counted(f, dual):
+        calls.append(f)
+        return conjugate(f, dual)
+
+    monkeypatch.setattr(legendre, "conjugate", counted)
+    spike = primal([-1.0, 0.0, 1.0], [0.0, 3.0, 0.0])
+    vee = primal([-1.0, 0.0, 1.0], [1.0, 0.0, 1.0])
+    assert check_toland_singer(spike, vee, Grid((-1.0, 0.0, 1.0))).holds
+    assert calls == [spike, vee]
