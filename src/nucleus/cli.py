@@ -12,7 +12,8 @@ Handlers are pure functions of the arguments and the files read and
 return their text (``check`` its exit code too).  ``run`` alone reads
 files, writes stdout or ``--out`` and reports errors: exit 0 success,
 1 failed check, 2 for unreadable or malformed input, naming the file
-with its line and field, or the files between which sizes differ.
+with its line and field, or the files between which sizes, grids or
+labels differ.
 """
 
 from __future__ import annotations
@@ -155,16 +156,6 @@ def _check(args: argparse.Namespace, f1: SampledFunction, f2: SampledFunction) -
     return text + "\n", 0 if report.holds else 1
 
 
-def _compose(args: argparse.Namespace, first, second) -> str:
-    (rows, inner_a, a), (inner_b, cols, b) = first, second
-    # inner objects pair by label; sizes that differ are compose_profunctors' error
-    if len(inner_a) == len(inner_b) and inner_a != inner_b:
-        raise ValueError(
-            f"{args.first}, {args.second}: inner labels differ: columns {list(inner_a)} vs rows {list(inner_b)}"
-        )
-    return render_matrix_csv(rows, cols, compose_profunctors(a, b))
-
-
 def _plotdata(args: argparse.Namespace, f: SampledFunction) -> str:
     xs, vs = f.grid.as_array, f.values_array
     finite = np.isfinite(vs)
@@ -216,7 +207,8 @@ _VERBS = {
         "DOT Hasse diagram of the concept lattice",
         lambda args, ctx: export_dot(enumerate_concepts(ctx)), ("input",), _parse_context),
     "compose": _Verb(
-        "min-plus product of two labelled matrices", _compose,
+        "min-plus product of two labelled matrices",
+        lambda args, a, b: render_matrix_csv(a[0], b[1], compose_profunctors(a[2], b[2])),
         ("first", "second"), lambda text: parse_matrix_csv(text)),
     "plotdata": _Verb("tab-separated finite samples for plotting", _plotdata, ("input",), _FUNCTION),
 }

@@ -14,7 +14,10 @@ also runs on the pairing k*x.  Their composites are closure operators;
 limits and colimits of fixed pairs are computed pointwise and re-closed
 on the side the pointwise formula can leave.  Profunctors and vectors
 hold one encoded array each; the scalar views ``entries`` and ``values``
-are built only when read.  Matrix, context and function files are one
+are built only when read, and each object set may carry an index, labels
+or a grid: core alone decides whether two operands share objects, sizes
+first, then indices, where None (positional) agrees with any, and results
+carry the index on.  Matrix, context and function files are one
 labelled-table CSV, read in whole columns by :func:`parse_labelled_csv`,
 whose one row walk names the first fault of a file it refuses.
 """
@@ -157,6 +160,10 @@ class Quantale:
     def __repr__(self) -> str:
         return f"<quantale {self.name}>"
 
+    def __reduce__(self) -> str:
+        # pickle and deepcopy keep the one instance that equality asks ``is`` of
+        return next((k for k, v in globals().items() if v is self), self.name)
+
 
 TRUTH = Quantale(
     name="truth", scalar_type=bool, dtype=np.bool_, default_fixed_tol=0.0,
@@ -180,11 +187,13 @@ EXT_REAL = Quantale(
 
 @dataclass(frozen=True, eq=False)
 class Profunctor:
-    """Total matrix of quantale values between two finite object sets, held
-    as one encoded array (given as such or as rows of scalars)."""
+    """Total matrix of quantale values between two finite object sets and
+    their indices, held as one encoded array (as such or as rows of scalars)."""
 
     entries_array: np.ndarray
     quantale: Quantale
+    domain: object = None
+    codomain: object = None
 
     def __post_init__(self) -> None:
         arr = self.quantale.encode(self.entries_array, ndim=2)
@@ -208,6 +217,7 @@ class Profunctor:
         return (
             isinstance(other, Profunctor)
             and self.quantale is other.quantale
+            and (self.domain, self.codomain) == (other.domain, other.codomain)
             and np.array_equal(self.entries_array, other.entries_array)
         )
 
@@ -215,12 +225,14 @@ class Profunctor:
 @dataclass(frozen=True, eq=False)
 class PresheafVector:
     """One quantale value per object, held as one encoded array (given as
-    such or as a sequence of scalars).  PRE vectors live over the domain of
-    a profunctor, OPCO vectors over its codomain."""
+    such or as a sequence of scalars), and the objects' index.  PRE vectors
+    live over the domain of a profunctor, OPCO vectors over its codomain."""
 
     values_array: np.ndarray
     side: Side
     quantale: Quantale
+    objects: object = None
+    mismatch = None  # a subclass's text for a mismatch with another vector
 
     def __post_init__(self) -> None:
         arr = self.quantale.encode(self.values_array)
@@ -240,6 +252,7 @@ class PresheafVector:
             isinstance(other, PresheafVector)
             and self.side is other.side
             and self.quantale is other.quantale
+            and self.objects == other.objects
             and np.array_equal(self.values_array, other.values_array)
         )
 
@@ -258,6 +271,15 @@ def adjoint_arrays(q: Quantale, matrix: np.ndarray, vector: np.ndarray, axis: in
     return q.meet.reduce(q.residuate(laid, matrix), axis=axis)
 
 
+def _same_objects(a, b, message: str | None = None, *labels):
+    """The index of two operands of one size, None (positional) agreeing with
+    any; indices that differ are a SizeMismatchError reading ``message``, by
+    default the vectors' one, formatted with ``labels`` as lists."""
+    if not (a is None or b is None or a is b or a == b):
+        raise SizeMismatchError((message or "vectors index different objects").format(*map(list, labels)))
+    return b if a is None else a
+
+
 def _adjoint(profunctor: Profunctor, vector: PresheafVector, axis: int) -> PresheafVector:
     verb, side, other = (("push", Side.PRE, Side.OPCO), ("pull", Side.OPCO, Side.PRE))[axis]
     if vector.side is not side:
@@ -267,8 +289,10 @@ def _adjoint(profunctor: Profunctor, vector: PresheafVector, axis: int) -> Presh
     size = profunctor.entries_array.shape[axis]
     if len(vector) != size:
         raise SizeMismatchError(f"{verb}: vector of length {len(vector)} against {size} objects")
-    q = profunctor.quantale
-    return PresheafVector(adjoint_arrays(q, profunctor.entries_array, vector.values_array, axis), other, q)
+    q, objects = profunctor.quantale, (profunctor.domain, profunctor.codomain)
+    _same_objects(objects[axis], vector.objects, "vector and profunctor index different objects")
+    values = adjoint_arrays(q, profunctor.entries_array, vector.values_array, axis)
+    return PresheafVector(values, other, q, objects[1 - axis])
 
 
 def push(profunctor: Profunctor, pre: PresheafVector) -> PresheafVector:
@@ -318,7 +342,8 @@ def hom_distance(f1: PresheafVector, f2: PresheafVector):
     if f1.side is not f2.side:
         raise ValueError("hom_distance needs two vectors on the same side")
     if len(f1) != len(f2):
-        raise SizeMismatchError(f"vector lengths differ: {len(f1)} vs {len(f2)}")
+        raise SizeMismatchError(f1.mismatch or f"vector lengths differ: {len(f1)} vs {len(f2)}")
+    _same_objects(f1.objects, f2.objects, f1.mismatch)
     if f1.quantale is not f2.quantale:
         raise ValueError("vectors use different quantales")
     q = f1.quantale
@@ -345,55 +370,57 @@ def compose_profunctors(first: Profunctor, second: Profunctor) -> Profunctor:
         raise ValueError("profunctors use different quantales")
     if first.codomain_size != second.domain_size:
         raise SizeMismatchError(f"inner sizes differ: {first.codomain_size} vs {second.domain_size}")
+    inner = (first.codomain, second.domain)
+    _same_objects(*inner, "inner labels differ: columns {} vs rows {}", *inner)
     q = first.quantale
     right = second.entries_array
     out = np.empty((first.domain_size, second.codomain_size), dtype=q.dtype)
     for a, row in enumerate(first.entries_array):
         out[a] = q.join.reduce(q.tensor(row[:, np.newaxis], right), axis=0)
-    return Profunctor(out, q)
+    return Profunctor(out, q, first.domain, second.codomain)
 
 
-def _stack_family(vectors: Sequence[PresheafVector]) -> tuple[Side, Quantale, np.ndarray]:
-    """The shared side and quantale of the vectors, and their arrays as rows."""
+def _stack_family(vectors: Sequence[PresheafVector]) -> tuple[Side, Quantale, object, np.ndarray]:
+    """The shared side, quantale and objects of the vectors, and their arrays as rows."""
     if not vectors:
         raise ValueError("an empty family of vectors has no side, quantale or length")
     head = vectors[0]
+    objects = head.objects
     for v in vectors[1:]:
         if v.side is not head.side:
             raise ValueError("vectors must share a side")
         if v.quantale is not head.quantale:
             raise ValueError("vectors must share a quantale")
         if len(v) != len(head):
-            raise SizeMismatchError("vectors must share a length")
-    return head.side, head.quantale, np.stack([v.values_array for v in vectors])
+            raise SizeMismatchError(head.mismatch or "vectors must share a length")
+        objects = _same_objects(objects, v.objects, head.mismatch)
+    return head.side, head.quantale, objects, np.stack([v.values_array for v in vectors])
 
 
 def pointwise_meet(vectors: Sequence[PresheafVector]) -> PresheafVector:
-    side, q, rows = _stack_family(vectors)
-    return PresheafVector(q.meet.reduce(rows, axis=0), side, q)
+    side, q, objects, rows = _stack_family(vectors)
+    return PresheafVector(q.meet.reduce(rows, axis=0), side, q, objects)
 
 
 def pointwise_join(vectors: Sequence[PresheafVector]) -> PresheafVector:
-    side, q, rows = _stack_family(vectors)
-    return PresheafVector(q.join.reduce(rows, axis=0), side, q)
+    side, q, objects, rows = _stack_family(vectors)
+    return PresheafVector(q.join.reduce(rows, axis=0), side, q, objects)
 
 
 def tensor_each(scalar, vector: PresheafVector) -> PresheafVector:
     q = vector.quantale
-    return PresheafVector(q.tensor(q.encode((scalar,)), vector.values_array), vector.side, q)
+    return PresheafVector(q.tensor(q.encode((scalar,)), vector.values_array), vector.side, q, vector.objects)
 
 
 def residuate_each(scalar, vector: PresheafVector) -> PresheafVector:
     q = vector.quantale
-    return PresheafVector(q.residuate(q.encode((scalar,)), vector.values_array), vector.side, q)
+    return PresheafVector(q.residuate(q.encode((scalar,)), vector.values_array), vector.side, q, vector.objects)
 
 
 def _check_fixed_pair(profunctor: Profunctor, pair, tol: float) -> None:
     p, q_vec = pair
-    if not (
-        _vectors_approx_equal(push(profunctor, p), q_vec, tol)
-        and _vectors_approx_equal(pull(profunctor, q_vec), p, tol)
-    ):
+    pushed, pulled = push(profunctor, p), pull(profunctor, q_vec)  # each checks its vector's objects
+    if not (_vectors_approx_equal(pushed, q_vec, tol) and _vectors_approx_equal(pulled, p, tol)):
         raise NotFixedError("input pair is not fixed by the adjunction")
 
 
@@ -563,7 +590,7 @@ def render_labelled_csv(row_labels: Sequence[str], col_labels: Sequence[str], ro
 
 
 def parse_matrix_csv(text: str) -> tuple[tuple[str, ...], tuple[str, ...], Profunctor]:
-    """Row labels, column labels and matrix of a table of extended reals."""
+    """Row labels, column labels and matrix, indexed by them, of a table of extended reals."""
     return parse_labelled_csv(text, "matrix", ext.parse, _read_matrix, nonempty=True)
 
 
@@ -572,7 +599,8 @@ def _read_matrix(header, labels, cells, numbers):
     # float reads the digit-group underscore in 1_0 as 10, and reads nan
     if "_" in "".join(cells) or np.isnan(values).any():
         raise ValueError("a value cell is not an extended real")
-    return tuple(labels), header[1:], Profunctor(values.reshape(len(labels), len(header) - 1), EXT_REAL)
+    matrix = Profunctor(values.reshape(len(labels), len(header) - 1), EXT_REAL, tuple(labels), header[1:])
+    return matrix.domain, matrix.codomain, matrix
 
 
 def render_matrix_csv(

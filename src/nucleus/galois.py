@@ -52,6 +52,8 @@ __all__ = [
     "render_context_csv",
 ]
 
+MAX_ORDER_CELLS = 1 << 24
+
 
 class UnknownLabelError(ValueError):
     """A subset mentions a label the context does not have."""
@@ -325,8 +327,11 @@ class ConceptLattice:
 
     @cached_property
     def order(self) -> tuple[tuple[bool, ...], ...]:
-        """``order[i][j]``: concept i <= concept j, by extent inclusion."""
+        """``order[i][j]``: concept i <= concept j, by extent inclusion.  More
+        than MAX_ORDER_CELLS cells are refused before any is built."""
         masks = self.extent_masks
+        if len(masks) ** 2 > MAX_ORDER_CELLS:
+            raise ValueError(f"{len(masks)} concepts give {len(masks) ** 2} order cells, more than {MAX_ORDER_CELLS}")
         return tuple(tuple(a & b == a for b in masks) for a in masks)
 
     @property

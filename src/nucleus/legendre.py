@@ -3,10 +3,10 @@
 A sampled function is a finite strictly increasing grid of abscissae
 with one extended-real value per point; it stands for the function that
 equals its samples on the grid and +inf elsewhere.  It is core's
-``EXT_REAL`` vector, a :class:`~nucleus.core.PresheafVector` that adds
-its grid, on the side its ``Space`` names: PRE when primal, OPCO when
-dual.  All but the transforms is core's on it, called on the function
-itself.  The
+``EXT_REAL`` vector, a :class:`~nucleus.core.PresheafVector` whose
+objects are its grid, on the side its ``Space`` names: PRE when primal,
+OPCO when dual.  All but the transforms is core's, called on the
+function itself, and core alone refuses functions on other grids.  The
 source paper's R-bar-structure on function spaces, a distance that is
 asymmetric and can be negative, is :func:`~nucleus.core.hom_distance`:
 ``climb_distance`` on PRE, ``fall_distance`` on OPCO.  Its two tropical
@@ -188,14 +188,16 @@ class Grid:
 @dataclass(frozen=True, init=False, eq=False, repr=False)
 class SampledFunction(core.PresheafVector):
     """Grid plus one extended-real value per point: core's EXT_REAL vector
-    with its grid, on the side its space names, ``Space(f.side)``.  Values
-    are an array or a sequence of numbers and ExtReals; text is refused.
-    The ExtReal tuple view is built only when read, so transform pipelines
-    never build per-cell objects.  Equal to a function on an equal grid
-    with equal cells, never to a plain vector; unhashable.
+    whose objects are the grid, on the side its space names,
+    ``Space(f.side)``.  Values are an array or a sequence of numbers and
+    ExtReals; text is refused.  The ExtReal tuple view is built only when
+    read, so transform pipelines never build per-cell objects.  Equal, by
+    core's equality, to a function on an equal grid with equal cells, never
+    to a positional vector; unhashable.
     """
 
-    grid: Grid
+    mismatch = "functions live on different grids"
+    grid = property(lambda self: self.objects)
 
     def __init__(self, grid: Grid, values, space: Space):
         values = values if isinstance(values, (np.ndarray, str, bytes)) else list(values)
@@ -205,8 +207,7 @@ class SampledFunction(core.PresheafVector):
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 1 or len(arr) != len(grid):
             raise ValueError("need exactly one value per grid point")
-        object.__setattr__(self, "grid", grid)
-        super().__init__(arr, space.value, EXT_REAL)
+        super().__init__(arr, space.value, EXT_REAL, grid)
 
     @property
     def space(self) -> Space:
@@ -214,12 +215,6 @@ class SampledFunction(core.PresheafVector):
 
     def value_at(self, index: int) -> ExtReal:
         return ext.from_float(float(self.values_array[index]))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, core.PresheafVector):
-            return NotImplemented
-        # False, not NotImplemented, for a plain vector, whose own == would say True
-        return isinstance(other, SampledFunction) and self.grid == other.grid and super().__eq__(other)
 
     def __repr__(self) -> str:
         return f"SampledFunction({self.space.name.lower()}, {len(self)} points)"
@@ -262,8 +257,6 @@ def _require_space(f: SampledFunction, space: Space, what: str) -> None:
 def _require_pair(a: SampledFunction, b: SampledFunction, space: Space, what: str) -> None:
     _require_space(a, space, what)
     _require_space(b, space, what)
-    if a.grid != b.grid:
-        raise SizeMismatchError("functions live on different grids")
 
 
 def conjugate(f: SampledFunction, dual: Grid) -> SampledFunction:
@@ -456,12 +449,12 @@ def _climb_and_fall(
     f1: SampledFunction, f2: SampledFunction, dual: Grid, tol: float, what: str
 ) -> tuple[ExtReal, ExtReal, SampledFunction]:
     """climb(f1, f2) and fall(conj f1, conj f2), the two sides that shortness
-    and Toland-Singer compare, once the tolerance and the pair are checked,
-    and conj f2, which Toland-Singer's hypothesis conjugates back."""
+    and Toland-Singer compare, the climb first, refusing other grids before
+    any transform, and conj f2, which Toland-Singer's hypothesis conjugates back."""
     ext._check_tol(tol)
     _require_pair(f1, f2, Space.PRIMAL, what)
-    conj1, conj2 = conjugate(f1, dual), conjugate(f2, dual)
-    return climb_distance(f1, f2), fall_distance(conj1, conj2), conj2
+    climb, conj1, conj2 = climb_distance(f1, f2), conjugate(f1, dual), conjugate(f2, dual)
+    return climb, fall_distance(conj1, conj2), conj2
 
 
 def convex_hull_oracle(f: SampledFunction) -> SampledFunction:
@@ -561,15 +554,12 @@ def pointwise_inf(fs: Sequence[SampledFunction], grid: Grid | None = None) -> Sa
 def _pointwise(fold, empty: ExtReal, fs: Sequence[SampledFunction], grid: Grid | None) -> SampledFunction:
     for f in fs:
         _require_space(f, Space.PRIMAL, "family member")
-        if grid is None:
-            grid = f.grid
-        elif f.grid != grid:
-            raise SizeMismatchError("functions live on different grids")
-    if grid is None:
-        raise ValueError("an empty family needs an explicit grid")
+    if grid is not None:  # the fold's unit on the grid, which core matches with the family's
+        fs = [*fs, SampledFunction(grid, np.full(len(grid), empty.to_float()), Space.PRIMAL)]
     if not fs:
-        return SampledFunction(grid, np.full(len(grid), empty.to_float()), Space.PRIMAL)
-    return SampledFunction(grid, fold(fs).values_array, Space.PRIMAL)
+        raise ValueError("an empty family needs an explicit grid")
+    out = fold(fs)
+    return SampledFunction(out.objects, out.values_array, Space.PRIMAL)
 
 
 def cvx_combine(

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
 import re
 
@@ -33,6 +35,7 @@ from nucleus.core import (
     pull,
     push,
     render_matrix_csv,
+    tensor_each,
     underlying_preorder,
 )
 from nucleus.extreal import NEG_INF, POS_INF, ZERO
@@ -479,3 +482,78 @@ def test_core_refusals(call, error, message):
 def test_rspace_summary_of_an_ok_report():
     summary = check_rspace_axioms(((ZERO, fin(1)), (fin(-1), ZERO))).summary()
     assert summary == "ok: triangle inequality holds and every self-distance is 0 or -inf"
+
+
+# The object index: the worked relation with its labels, beside M_TRUTH,
+# the same matrix positional.
+M_LABELLED = Profunctor(M_TRUTH.entries_array, TRUTH, G, M_SET)
+
+
+def test_core_refuses_operands_on_other_objects():
+    p = PresheafVector(chi(G, {"1"}), Side.PRE, TRUTH, ("x", "y", "z"))
+    with pytest.raises(SizeMismatchError, match="^vector and profunctor index different objects$"):
+        push(M_LABELLED, p)
+    with pytest.raises(SizeMismatchError, match="^vector and profunctor index different objects$"):
+        pull(M_LABELLED, PresheafVector((True, False), Side.OPCO, TRUTH, ("b", "a")))
+    with pytest.raises(SizeMismatchError):
+        is_fixed(M_LABELLED, p)
+    q = PresheafVector(chi(G, {"1", "2"}), Side.PRE, TRUTH, G)
+    with pytest.raises(SizeMismatchError, match="^vectors index different objects$"):
+        hom_distance(p, q)
+    with pytest.raises(SizeMismatchError, match="^vectors index different objects$"):
+        pointwise_meet([pre(chi(G, {"1"})), q, p])  # a positional head does not hide the clash
+    fixed = closure(M_TRUTH, pre(chi(G, {"1"})))
+    pair = (fixed, push(M_TRUTH, fixed))
+    moved = (pair[0], PresheafVector(pair[1].values_array, Side.OPCO, TRUTH, ("b", "a")))
+    assert nucleus_limit(M_LABELLED, LimitKind.PRODUCT, [pair])[1].objects == M_SET
+    for bad in (moved, (PresheafVector(fixed.values_array, Side.PRE, TRUTH, ("x", "y", "z")), pair[1])):
+        with pytest.raises(SizeMismatchError):
+            nucleus_limit(M_LABELLED, LimitKind.PRODUCT, [bad])
+
+
+def test_compose_pairs_parsed_matrices_by_inner_labels():
+    _, _, a = parse_matrix_csv(",x,y\na,0,1\n")
+    _, _, b = parse_matrix_csv(",u\ny,5\nx,7\n")
+    with pytest.raises(SizeMismatchError, match=re.escape("inner labels differ: columns ['x', 'y'] vs rows ['y', 'x']")):
+        compose_profunctors(a, b)
+    # sizes are compared before labels
+    with pytest.raises(SizeMismatchError, match="^inner sizes differ: 2 vs 1$"):
+        compose_profunctors(a, parse_matrix_csv(",u\nz,0\n")[2])
+    product = compose_profunctors(a, parse_matrix_csv(",u\nx,7\ny,5\n")[2])
+    assert (product.domain, product.codomain, product.entries) == (("a",), ("u",), ((fin(6),),))
+
+
+def test_positional_operands_agree_with_any_index():
+    # the benchmark's path: positional vectors against a parsed, labelled matrix
+    p = pre(chi(G, {"1"}))
+    pushed = push(M_LABELLED, p)
+    assert pushed.objects == M_SET and pushed.values == push(M_TRUTH, p).values
+    assert pull(M_LABELLED, opco((True, False))).objects == G
+    assert is_fixed(M_LABELLED, closure(M_TRUTH, p)) and hom_distance(pushed, push(M_TRUTH, p)) is True
+    labelled = PresheafVector(chi(G, {"2"}), Side.PRE, TRUTH, G)
+    assert pointwise_meet([p, labelled]).objects == G and tensor_each(True, labelled).objects == G
+    assert compose_profunctors(M_LABELLED, identity_profunctor(2, TRUTH)).codomain is None
+    # equality reads the index: positional and labelled data differ
+    assert labelled != PresheafVector(chi(G, {"2"}), Side.PRE, TRUTH) and M_LABELLED != M_TRUTH
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        M_TRUTH,
+        M_LABELLED,
+        pre(chi(G, {"1"})),
+        PresheafVector((fin(1), POS_INF, NEG_INF), Side.OPCO, EXT_REAL, G),
+        parse_matrix_csv(",c1,c2\nr1,0.0,inf\nr2,-inf,2.5\n")[2],
+    ],
+    ids=["profunctor", "labelled profunctor", "vector", "labelled vector", "parsed matrix"],
+)
+def test_copies_and_pickles_keep_the_quantale(x):
+    for y in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert y == x and y.quantale is x.quantale
+
+
+def test_quantales_pickle_as_their_module_names():
+    for q in (TRUTH, EXT_REAL):
+        assert pickle.loads(pickle.dumps(q)) is q and copy.deepcopy(q) is q and copy.copy(q) is q
+    assert repr(EXT_REAL) == "<quantale extreal>" and TRUTH.name == "truth"

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from nucleus.core import TRUTH, FormatError, PresheafVector, Profunctor, Side, pull, push
 from nucleus.galois import (
+    MAX_ORDER_CELLS,
     Concept,
     Context,
     NotAConceptError,
@@ -245,6 +246,16 @@ def test_order_matrix_and_top_bottom():
     assert not lat.order[i_top][i_small]
     assert lat.top.extent == ("1", "2", "3")
     assert lat.bottom.extent == ("2",)
+
+
+def test_order_is_refused_past_its_cell_cap():
+    # the co-diagonal context on n labels has every subset as an extent
+    labels = [str(i) for i in range(13)]
+    codiagonal = Context.from_pairs(labels, labels, [(g, m) for g in labels for m in labels if g != m])
+    lat = enumerate_concepts(codiagonal)
+    assert len(lat) == 8192 and 8192**2 > MAX_ORDER_CELLS
+    with pytest.raises(ValueError, match=f"^8192 concepts give 67108864 order cells, more than {MAX_ORDER_CELLS}$"):
+        lat.order
 
 
 def test_lattice_meet_join_examples():

@@ -374,5 +374,6 @@ def test_writers_refuse_the_labels_their_readers_would_change(objects, attribute
         except FormatError:
             assert not plain
         else:
-            assert parse_matrix_csv(text) == (tuple(objects), tuple(attributes), matrix)
+            labelled = Profunctor(matrix.entries_array, EXT_REAL, tuple(objects), tuple(attributes))
+            assert parse_matrix_csv(text) == (tuple(objects), tuple(attributes), labelled)
             assert render_context_csv in written

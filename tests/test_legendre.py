@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
 import tracemalloc
 
@@ -11,7 +13,16 @@ import pytest
 
 from nucleus import extreal as ext
 from nucleus import legendre
-from nucleus.core import EXT_REAL, FormatError, LimitKind, PresheafVector, Side, SizeMismatchError, hom_distance
+from nucleus.core import (
+    EXT_REAL,
+    FormatError,
+    LimitKind,
+    PresheafVector,
+    Side,
+    SizeMismatchError,
+    hom_distance,
+    pointwise_meet,
+)
 from nucleus.extreal import NEG_INF, POS_INF, ZERO
 from nucleus.legendre import (
     CheckStatus,
@@ -647,6 +658,10 @@ def test_a_function_is_no_plain_vector():
     assert repr(f) == "SampledFunction(primal, 2 points)"
     assert repr(dual_fn([0.0], [0.0])) == "SampledFunction(dual, 1 points)"
     assert not f == v and not v == f and f != v and v != f
+    # a positional vector agrees with the function's grid in core's kernels
+    assert hom_distance(v, f) == ZERO and hom_distance(f, v) == ZERO
+    met = pointwise_meet([v, f])
+    assert met.objects is f.grid and met.values == f.values
     with pytest.raises(TypeError):
         hash(f)
     with pytest.raises(ValueError, match="^conjugate input must be a primal function$"):
@@ -686,3 +701,41 @@ def test_toland_singer_conjugates_each_function_once(monkeypatch):
     vee = primal([-1.0, 0.0, 1.0], [1.0, 0.0, 1.0])
     assert check_toland_singer(spike, vee, Grid((-1.0, 0.0, 1.0))).holds
     assert calls == [spike, vee]
+
+
+def test_core_refuses_functions_on_different_grids(monkeypatch):
+    f, h = primal([0.0, 1.0], [0.0, 1.0]), primal([5.0, 6.0], [0.0, 1.0])
+    calls = [
+        lambda: hom_distance(f, h),
+        lambda: pointwise_meet([f, h]),
+        lambda: climb_distance(f, h),
+        lambda: fall_distance(dual_fn([0.0, 1.0], [0.0, 0.0]), dual_fn([0.0, 2.0], [0.0, 0.0])),
+        lambda: pointwise_sup([f, h]),
+        lambda: pointwise_inf([f], Grid((5.0, 6.0))),
+        lambda: climb_distance(f, primal([0.0, 1.0, 2.0], [0.0, 0.0, 0.0])),
+    ]
+    for call in calls:
+        with pytest.raises(SizeMismatchError, match="^functions live on different grids$"):
+            call()
+    transforms = []
+    monkeypatch.setattr(legendre, "conjugate", lambda g, dual: transforms.append(g))
+    for check in (check_short, check_toland_singer):
+        with pytest.raises(SizeMismatchError, match="^functions live on different grids$"):
+            check(f, h, Grid((0.0, 1.0)))
+    assert transforms == []  # refused before any transform
+
+
+def test_a_function_has_no_grid_of_its_own():
+    f = primal([0.0, 1.0], [1.0, 2.0])
+    assert f.grid is f.objects
+    assert pointwise_sup([f]).grid == f.grid and cvx_scale(LimitKind.TENSOR, fin(1.0), f).grid is f.grid
+    with pytest.raises(AttributeError):
+        f.grid = Grid((0.0, 1.0))
+
+
+def test_functions_copy_and_pickle_equal():
+    for f in (primal([0.0, 1.0, 2.0], [1.0, math.inf, -2.5]), dual_fn([-1.0], [-math.inf])):
+        for g in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert g == f and type(g) is SampledFunction and g.grid == f.grid and g.quantale is EXT_REAL
+    f, h = primal([0.0, 1.0], [1.0, 2.0]), primal([0.0, 1.0], [1.0, 5.0])
+    assert climb_distance(copy.deepcopy(f), h) == climb_distance(pickle.loads(pickle.dumps(f)), h) == fin(3.0)
