@@ -199,7 +199,13 @@ class Profunctor:
         arr = self.quantale.encode(self.entries_array, ndim=2)
         if not arr.size:
             raise ValueError("profunctor needs at least one row and one column")
+        _index_fits(self.domain, arr.shape[0], "domain", "rows")
+        _index_fits(self.codomain, arr.shape[1], "codomain", "columns")
         object.__setattr__(self, "entries_array", arr)
+
+    def __reduce__(self):
+        # through the constructor, so a copy's array is read-only too
+        return type(self), (self.entries_array, self.quantale, self.domain, self.codomain)
 
     @cached_property
     def entries(self) -> tuple[tuple[object, ...], ...]:
@@ -238,7 +244,12 @@ class PresheafVector:
         arr = self.quantale.encode(self.values_array)
         if not arr.size:
             raise ValueError("presheaf vector must be non-empty")
+        _index_fits(self.objects, len(arr), "object", "values")
         object.__setattr__(self, "values_array", arr)
+
+    def __reduce__(self):
+        # through the constructor, so a copy's array is read-only too
+        return type(self), (self.values_array, self.side, self.quantale, self.objects)
 
     @cached_property
     def values(self) -> tuple[object, ...]:
@@ -255,6 +266,12 @@ class PresheafVector:
             and self.objects == other.objects
             and np.array_equal(self.values_array, other.values_array)
         )
+
+
+def _index_fits(index, size: int, what: str, cells: str) -> None:
+    """An index, unless None (positional), names one object per row or cell."""
+    if index is not None and len(index) != size:
+        raise SizeMismatchError(f"{what} index has {len(index)} objects for {size} {cells}")
 
 
 def identity_profunctor(n: int, quantale: Quantale) -> Profunctor:

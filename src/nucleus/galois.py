@@ -10,16 +10,15 @@ kernel reads the objects (label positions, each object's attributes packed
 once into a mask, the polar walking a mask's set bits), and the attributes
 are the objects of ``T``, whose ``T`` is the context again.
 The lattice is built on the smaller side: on the transposed context when
-there are fewer attributes than objects.  FCbO enumerates every concept
-once, keeping the intents found so far in a table, so a candidate already
-generated costs one lookup, not a closure, and a new one costs one polar:
-the candidate is the new intent, and its polar the new extent.  A lattice
-keeps the concepts with their extent and intent masks and the context,
-builds the inclusion order only when read, and takes its covers from each
-concept's upper neighbours (Lindig, "Fast Concept Analysis", 2000), found
-by intent in a table as well.  Meets intersect extents, joins intersect
-intents.  A context's CSV form is core's labelled table with 0/1 cells,
-read in whole columns.
+there are fewer attributes than objects.  The walk intersects every
+intent found so far with one row at a time, so each intent arrives with
+its extent and no polar is taken.  A lattice keeps the concepts with their
+extent and intent masks and the context, builds the inclusion order only
+when read, and takes its covers from each concept's upper neighbours
+(Lindig, "Fast Concept Analysis", 2000), found by intent in a table.
+Meets intersect extents, joins intersect intents; a concept galois built
+keeps its masks, which its own context reads back unchecked.  A context's
+CSV form is core's labelled table with 0/1 cells, read in whole columns.
 """
 
 from __future__ import annotations
@@ -186,14 +185,19 @@ class Context:
 @dataclass(frozen=True)
 class Concept:
     """A closed pair: each side is exactly the polar of the other.  Labels
-    are kept as tuples in context order: rendering is deterministic."""
+    are kept as tuples in context order: rendering is deterministic.  One
+    that galois built keeps its context and masks; a copy keeps the labels."""
 
     extent: tuple[str, ...]
     intent: tuple[str, ...]
+    _found: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "extent", tuple(self.extent))
         object.__setattr__(self, "intent", tuple(self.intent))
+
+    def __reduce__(self):
+        return Concept, (self.extent, self.intent)
 
     def __str__(self) -> str:
         return "({%s}, {%s})" % (", ".join(self.extent), ", ".join(self.intent))
@@ -233,47 +237,27 @@ def _lectic_closed_extents(ctx: Context) -> list[tuple[int, int]]:
     """Every concept as (extent mask, intent mask), in lectic order of the
     extents (label index 0 is most significant).
 
-    FCbO (Outrata and Vychodil, 2012) over the objects of the context
-    walked, ``ctx`` or ``ctx.T``, on a stack: a node (A, B, start) tries
-    each object j >= start outside A and keeps the closure of A + j when it
-    adds nothing below j.  Children inherit the closures that failed that
-    test, and skip j while the failed closure for j adds something below j
-    outside their A.  The intent of A + j is the candidate B & row_j, so
-    its closure is the one polar of the candidate.  A table from the
-    intents found so far to their extents answers the candidate: a hit was
-    generated elsewhere, so it is not canonical here.  Only a new intent
-    costs a polar, about 1.2 per concept on random contexts; children run
-    in ascending j, as FCbO recurses, which fills the table before most
-    lookups.  On ``ctx.T`` each pair is swapped back.  Sorting by the
-    extent's little-endian bytes, each bit-reversed, gives the order: the
-    key compares label 0 first.
+    Row intersections (Norris, 1978) over the objects of the context
+    walked, ``ctx`` or ``ctx.T``, with no polar: ``found`` maps each intent
+    of the rows read so far to its extent among them, starting from all
+    attributes with the empty extent.  Row k (object bit ``1 << k``) sends
+    each (t, e) to t & row_k, whose extent gains e and k.  That gives the
+    extent of s = t & row_k in rows 0..k: the closure c of s in the earlier
+    rows lies inside every source t, so c & row_k is s.  So c is a source
+    itself, and its extent holds every other source's.  An intent inside
+    row_k is its own source and so gains k.  On ``ctx.T`` each pair
+    is swapped back.  Sorting by the extent's little-endian bytes, each
+    bit-reversed, gives the order: the key compares label 0 first.
     """
     transposed = _transposed(ctx)
     walked = ctx.T if transposed else ctx
-    n = len(walked.objects)
-    rows = walked._rows
-    all_attributes = (1 << len(walked.attributes)) - 1
-    bottom = walked.polar_down_mask(all_attributes)
-    found = {all_attributes: bottom}
-    stack = [(bottom, all_attributes, 0, [0] * n)]
-    while stack:
-        extent, intent, start, inherited = stack.pop()
-        failed = inherited.copy()
-        children = []
-        for j in range(start, n):
-            below = (1 << j) - 1
-            if extent >> j & 1 or failed[j] & below & ~extent:
-                continue
-            candidate = intent & rows[j]
-            closed = found.get(candidate)
-            if closed is None:
-                closed = walked.polar_down_mask(candidate)
-                if closed & below == extent & below:
-                    found[candidate] = closed
-                    children.append((closed, candidate, j + 1, failed))
-                    continue
-            failed[j] = closed
-        stack.extend(reversed(children))
+    found = {(1 << len(walked.attributes)) - 1: 0}
+    get = found.get
+    for k, row in enumerate(walked._rows):
+        bit = 1 << k
+        for intent, extent in list(found.items()):
+            intent &= row
+            found[intent] = get(intent, 0) | extent | bit
     pairs = found.items() if transposed else ((e, b) for b, e in found.items())
     nbytes = (len(ctx.objects) + 7) // 8
     return sorted(pairs, key=lambda c: c[0].to_bytes(nbytes, "little").translate(_REVERSED_BITS))
@@ -356,18 +340,30 @@ class ConceptLattice:
         return tuple(edges)
 
 
+def _concept(ctx: Context, extent: int, intent: int) -> Concept:
+    """The concept of ``ctx`` with these masks, keeping them: a Context is
+    frozen, so the pair stays closed in it."""
+    concept = Concept(ctx.object_labels(extent), ctx.T.object_labels(intent))
+    object.__setattr__(concept, "_found", (ctx, extent, intent))
+    return concept
+
+
 def enumerate_concepts(ctx: Context) -> ConceptLattice:
     """Complete concept set in lectic order of the extents."""
     pairs = _lectic_closed_extents(ctx)
-    concepts = tuple(Concept(ctx.object_labels(e), ctx.T.object_labels(b)) for e, b in pairs)
+    concepts = tuple(_concept(ctx, e, b) for e, b in pairs)
     extents, intents = zip(*pairs)  # there is always a bottom concept
     return ConceptLattice(concepts, extents, ctx, intents)
 
 
 def _masks_of(ctx: Context, concept: Concept) -> tuple[int, int]:
-    """The extent and intent masks of a concept of the context: each side's
+    """The extent and intent masks of a concept of the context: those it
+    kept when galois built it from this very context, else each side's
     labels known, in context order without repeats, and each side the
     other's polar."""
+    found = concept._found
+    if found is not None and found[0] is ctx:
+        return found[1], found[2]
     masks = []
     for index, labels in ((ctx._index, concept.extent), (ctx.T._index, concept.intent)):
         mask = 0
@@ -387,14 +383,14 @@ def lattice_meet(ctx: Context, c1: Concept, c2: Concept) -> Concept:
     """Greatest common subconcept: intersect extents (already closed); the
     intent is the polar of the intersection."""
     extent = _masks_of(ctx, c1)[0] & _masks_of(ctx, c2)[0]
-    return Concept(ctx.object_labels(extent), ctx.T.object_labels(ctx.polar_up_mask(extent)))
+    return _concept(ctx, extent, ctx.polar_up_mask(extent))
 
 
 def lattice_join(ctx: Context, c1: Concept, c2: Concept) -> Concept:
     """Least common superconcept: intersect intents (already closed); the
     extent is the polar of the intersection."""
     intent = _masks_of(ctx, c1)[1] & _masks_of(ctx, c2)[1]
-    return Concept(ctx.object_labels(ctx.polar_down_mask(intent)), ctx.T.object_labels(intent))
+    return _concept(ctx, ctx.polar_down_mask(intent), intent)
 
 
 def export_dot(lattice: ConceptLattice) -> str:

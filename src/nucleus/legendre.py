@@ -174,6 +174,9 @@ class Grid:
     def __len__(self) -> int:
         return len(self.as_array)
 
+    def __reduce__(self):
+        return Grid, (self.as_array,)
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Grid) and np.array_equal(self.as_array, other.as_array)
 
@@ -212,6 +215,9 @@ class SampledFunction(core.PresheafVector):
     @property
     def space(self) -> Space:
         return Space(self.side)
+
+    def __reduce__(self):
+        return SampledFunction, (self.grid, self.values_array, self.space)
 
     def value_at(self, index: int) -> ExtReal:
         return ext.from_float(float(self.values_array[index]))

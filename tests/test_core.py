@@ -8,6 +8,7 @@ import pickle
 import random
 import re
 
+import numpy as np
 import pytest
 
 from nucleus import extreal as ext
@@ -551,6 +552,23 @@ def test_positional_operands_agree_with_any_index():
 def test_copies_and_pickles_keep_the_quantale(x):
     for y in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
         assert y == x and y.quantale is x.quantale
+        arr = y.entries_array if isinstance(y, Profunctor) else y.values_array
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = arr.flat[0]
+
+
+def test_an_index_must_fit_its_array():
+    with pytest.raises(SizeMismatchError, match="^object index has 2 objects for 1 values$"):
+        PresheafVector((True,), Side.PRE, TRUTH, ("a", "b"))
+    with pytest.raises(SizeMismatchError, match="^domain index has 1 objects for 2 rows$"):
+        Profunctor(np.zeros((2, 2)), EXT_REAL, ("a",), ("x", "y"))
+    with pytest.raises(SizeMismatchError, match="^codomain index has 3 objects for 2 columns$"):
+        Profunctor(np.zeros((2, 2)), EXT_REAL, ("a", "b"), ("x", "y", "z"))
+    # None stays positional, on either side
+    assert Profunctor(np.zeros((2, 3)), EXT_REAL, None, ("x", "y", "z")).domain is None
+    assert Profunctor(np.zeros((2, 3)), EXT_REAL, ("a", "b")).codomain is None
+    assert PresheafVector((True, False), Side.OPCO, TRUTH).objects is None
 
 
 def test_quantales_pickle_as_their_module_names():

@@ -3,18 +3,24 @@
 The oracles are the earlier formulations: the inclusion order from
 extents as label sets, ``top`` and ``bottom`` as O(n^2) scans of that
 order, ``covers`` as the transitive reduction of the dense order matrix,
-the NextClosure walk that FCbO replaced, and the upper-neighbour covers
-that spent one polar per object outside each extent.  The lattice must
-agree with them exactly on random contexts, including ones without
-objects or without attributes, with duplicate rows and with masks that
-span several machine words.  The walk must also spend at most two
-closures per concept.  The set-bit polar and label kernels are checked
-against the per-bit loops they replaced.  Every table writer either
-refuses a label or writes text its reader reads back as it was.
+the NextClosure walk, and the upper-neighbour covers that spent one polar
+per object outside each extent.  The lattice must agree with them exactly
+on random contexts, including ones without objects or without attributes,
+with duplicate rows and with masks that span several machine words.  The
+walk, by row intersections, must take no polar.  Concepts that keep the
+masks they were enumerated with must give the meets, joins and
+``is_concept`` answers of label-only copies, and a concept of another
+context, or a copy, is checked by its labels.  The set-bit polar and label
+kernels are checked against the per-bit loops they replaced.  Every table
+writer either refuses a label or writes text its reader reads back as it
+was.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import numpy as np
@@ -26,8 +32,12 @@ from nucleus.core import EXT_REAL, FormatError, Profunctor, parse_matrix_csv, re
 from nucleus.galois import (
     Concept,
     Context,
+    NotAConceptError,
     enumerate_concepts,
     export_dot,
+    is_concept,
+    lattice_join,
+    lattice_meet,
     parse_context_csv,
     parse_cxt,
     render_context_csv,
@@ -189,17 +199,86 @@ def test_walk_and_covers_match_next_closure_and_polar_covers():
 
 @pytest.mark.parametrize("n, m, seed", [(30, 30, 3), (40, 20, 7), (2000, 3, 13)])
 def test_walk_spends_at_most_two_closures_per_concept(monkeypatch, n, m, seed):
-    """A closure is the polar of a candidate intent, on the side walked.
-    ``close_extent_mask``, which took the closures before, is counted too.
-    Each lattice has over 1000 concepts, or every attribute set as an
-    intent."""
+    """The walk takes no polar on either side: every intent arrives with
+    its extent.  ``close_extent_mask``, which took the closures once, is
+    counted too.  Each lattice has over 1000 concepts, or every attribute
+    set as an intent."""
     ctx = random_context(random.Random(seed), n, m, 0.5)
     calls = []
-    for name in ("polar_down_mask", "close_extent_mask"):
+    for name in ("polar_up_mask", "polar_down_mask", "close_extent_mask"):
         method = getattr(Context, name)
         monkeypatch.setattr(Context, name, lambda self, mask, method=method: calls.append(mask) or method(self, mask))
     lat = enumerate_concepts(ctx)
-    assert len(lat) > min(1000, 2**m - 1) and len(calls) <= 2 * len(lat)
+    assert len(lat) > min(1000, 2**m - 1) and calls == []
+
+
+def test_kept_masks_agree_with_label_only_copies():
+    """Meet, join and ``is_concept`` on enumerated concepts, which keep their
+    masks, against copies holding the labels alone, on 200 random contexts
+    of up to 7x7.  A concept of a second context with the same labels, or of
+    an equal but distinct context object, is judged against the context it
+    is handed to.  Meets and joins are also the concepts whose extent, or
+    intent, is the intersection."""
+    rng = random.Random(71)
+    for _ in range(200):
+        n, m = rng.randint(0, 7), rng.randint(0, 7)
+        ctx, other = random_context(rng, n, m), random_context(rng, n, m)
+        equal = Context(ctx.objects, ctx.attributes, ctx.incidence_array)
+        kept = enumerate_concepts(ctx).concepts
+        bare = [Concept(c.extent, c.intent) for c in kept]
+        assert bare == list(kept) and all(c._found is None for c in bare)
+        assert all(is_concept(ctx, c) and is_concept(equal, c) for c in kept + tuple(bare))
+        by_extent = {frozenset(c.extent): c for c in kept}
+        by_intent = {frozenset(c.intent): c for c in kept}
+        for _ in range(12):
+            i, j = rng.randrange(len(kept)), rng.randrange(len(kept))
+            a, b = kept[i], kept[j]
+            meet = lattice_meet(ctx, a, b)
+            join = lattice_join(ctx, a, b)
+            assert meet == by_extent[frozenset(a.extent) & frozenset(b.extent)]
+            assert join == by_intent[frozenset(a.intent) & frozenset(b.intent)]
+            assert meet == lattice_meet(ctx, bare[i], bare[j]) == lattice_meet(equal, a, b)
+            assert join == lattice_join(ctx, bare[i], bare[j]) == lattice_join(equal, a, b)
+            assert meet._found[0] is ctx and lattice_join(equal, a, b)._found[0] is equal
+        for c in enumerate_concepts(other).concepts:
+            assert is_concept(ctx, c) == (c in by_extent.values())
+            if is_concept(ctx, c):
+                assert lattice_meet(ctx, c, kept[-1]) == c == lattice_join(ctx, kept[0], c)
+                continue
+            with pytest.raises(NotAConceptError):
+                lattice_meet(ctx, c, kept[-1])
+            with pytest.raises(NotAConceptError):
+                lattice_join(ctx, kept[0], c)
+
+
+def test_enumerated_meets_and_joins_take_one_polar(monkeypatch):
+    """A concept enumerated from this context object is read from the masks
+    it kept: a meet or join takes only its result's polar.  A copy holding
+    the labels alone is checked, two polars per operand."""
+    ctx = random_context(random.Random(79), 7, 6, 0.5)
+    kept = enumerate_concepts(ctx).concepts
+    a, b = kept[len(kept) // 3], kept[2 * len(kept) // 3]
+    calls = []
+    method = Context.polar_up_mask
+    monkeypatch.setattr(Context, "polar_up_mask", lambda self, mask: calls.append(mask) or method(self, mask))
+    for op in (lattice_meet, lattice_join):
+        calls.clear()
+        op(ctx, a, b)
+        assert len(calls) == 1
+        calls.clear()
+        op(ctx, Concept(a.extent, a.intent), copy.deepcopy(b))
+        assert len(calls) == 5
+
+
+def test_copies_and_pickles_of_a_concept_hold_the_labels_alone():
+    ctx = random_context(random.Random(73), 6, 5)
+    for c in enumerate_concepts(ctx).concepts:
+        assert c._found[0] is ctx and b"incidence" not in pickle.dumps(c)
+        copies = (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c)), dataclasses.replace(c))
+        for copied in copies:
+            assert copied == c and hash(copied) == hash(c) and copied._found is None
+            assert (repr(copied), str(copied)) == (repr(c), str(c)) and is_concept(ctx, copied)
+    assert repr(Concept(["a"], ["x", "y"])) == "Concept(extent=('a',), intent=('x', 'y'))"
 
 
 def test_transpose_swaps_the_labels_and_the_incidence():

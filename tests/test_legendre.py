@@ -733,9 +733,22 @@ def test_a_function_has_no_grid_of_its_own():
         f.grid = Grid((0.0, 1.0))
 
 
+def test_grid_copies_and_pickles_stay_read_only():
+    grid = Grid((-0.0, 1.0, 2.5))
+    for g in (copy.copy(grid), copy.deepcopy(grid), pickle.loads(pickle.dumps(grid))):
+        assert g == grid and math.copysign(1.0, g.points[0]) == -1.0
+        assert not g.as_array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            g.as_array[0] = 5.0
+
+
 def test_functions_copy_and_pickle_equal():
     for f in (primal([0.0, 1.0, 2.0], [1.0, math.inf, -2.5]), dual_fn([-1.0], [-math.inf])):
         for g in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
             assert g == f and type(g) is SampledFunction and g.grid == f.grid and g.quantale is EXT_REAL
+            for arr in (g.values_array, g.grid.as_array):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0.0
     f, h = primal([0.0, 1.0], [1.0, 2.0]), primal([0.0, 1.0], [1.0, 5.0])
     assert climb_distance(copy.deepcopy(f), h) == climb_distance(pickle.loads(pickle.dumps(f)), h) == fin(3.0)
