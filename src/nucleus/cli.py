@@ -12,8 +12,8 @@ Handlers are pure functions of the arguments and the files read and
 return their text (``check`` its exit code too).  ``run`` alone reads
 files, writes stdout or ``--out`` and reports errors: exit 0 success,
 1 failed check, 2 for unreadable or malformed input, naming the file
-with its line and field, or the files between which sizes, grids or
-labels differ.
+with its line and field, the files between which sizes, grids or labels
+differ, or a context with too many concepts.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import extreal as ext
 from .core import FormatError, SizeMismatchError, compose_profunctors, parse_matrix_csv, render_matrix_csv
-from .galois import enumerate_concepts, export_dot, parse_context_csv, parse_cxt
+from .galois import TooManyConceptsError, enumerate_concepts, export_dot, parse_context_csv, parse_cxt
 from .legendre import (
     DEFAULT_TOL,
     Grid,
@@ -270,7 +270,7 @@ def run(argv: list[str]) -> int:
                 raise ValueError(f"{path}: {e}") from None
         try:
             out = verb.handler(args, *inputs)
-        except SizeMismatchError as e:
+        except (SizeMismatchError, TooManyConceptsError) as e:
             raise ValueError(f"{', '.join(paths)}: {e}") from None
         text, code = out if isinstance(out, tuple) else (out, 0)
         if args.out:

@@ -3,22 +3,22 @@
 The polars of the relation form a Galois connection between subsets of
 objects and subsets of attributes; the pairs fixed by both closures are
 the concepts.  A context holds the relation as one read-only bool array
-in core's TRUTH encoding, which ``to_profunctor`` wraps, and ``T`` is the
-transposed context, whose concepts are the same pairs with the sides
-swapped and the order reversed.  Subsets are bitmask integers.  Every
-kernel reads the objects (label positions, each object's attributes packed
-once into a mask, the polar walking a mask's set bits), and the attributes
-are the objects of ``T``, whose ``T`` is the context again.
-The lattice is built on the smaller side: on the transposed context when
-there are fewer attributes than objects.  The walk intersects every
-intent found so far with one row at a time, so each intent arrives with
-its extent and no polar is taken.  A lattice keeps the concepts with their
-extent and intent masks and the context, builds the inclusion order only
-when read, and takes its covers from each concept's upper neighbours
-(Lindig, "Fast Concept Analysis", 2000), found by intent in a table.
-Meets intersect extents, joins intersect intents; a concept galois built
-keeps its masks, which its own context reads back unchecked.  A context's
-CSV form is core's labelled table with 0/1 cells, read in whole columns.
+in core's TRUTH encoding, which ``to_profunctor`` wraps with its labels.
+Subsets are bitmask integers.  Every kernel reads the objects (label
+positions, each object's attributes packed once into a mask, the polar
+walking a mask's set bits); the attributes are the objects of ``T``, the
+transposed context, whose ``T`` is the context again and whose concepts
+are the same pairs with the sides swapped and the order reversed.
+The lattice is walked on the smaller side, intersecting every intent
+found so far with one row at a time, so each intent arrives with its
+extent and no polar is taken; a walk past MAX_CONCEPTS is refused.  A
+lattice keeps the concepts with their extent and intent masks and the
+context.  The order is inclusion of the extent masks, and the covers are
+each concept's upper neighbours (Lindig, "Fast Concept Analysis", 2000),
+found by intent in a table.  Meets intersect extents, joins intersect
+intents; a concept galois built keeps its masks, which its own context
+reads back unchecked.  A context's CSV form is core's labelled table
+with 0/1 cells, read in whole columns.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .core import TRUTH, FormatError, Profunctor, parse_labelled_csv, render_lab
 __all__ = [
     "UnknownLabelError",
     "NotAConceptError",
+    "TooManyConceptsError",
     "Context",
     "Concept",
     "ConceptLattice",
@@ -51,7 +52,8 @@ __all__ = [
     "render_context_csv",
 ]
 
-MAX_ORDER_CELLS = 1 << 24
+# Most concepts the walk's table may hold after a row, which at most doubles it.
+MAX_CONCEPTS = 1 << 19
 
 
 class UnknownLabelError(ValueError):
@@ -60,6 +62,10 @@ class UnknownLabelError(ValueError):
 
 class NotAConceptError(ValueError):
     """An (extent, intent) pair that is not closed under the polars."""
+
+
+class TooManyConceptsError(ValueError):
+    """A context with more than MAX_CONCEPTS concepts."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,10 +83,9 @@ class Context:
     def __post_init__(self) -> None:
         object.__setattr__(self, "objects", tuple(self.objects))
         object.__setattr__(self, "attributes", tuple(self.attributes))
-        if len(set(self.objects)) != len(self.objects):
-            raise ValueError("object labels must be unique")
-        if len(set(self.attributes)) != len(self.attributes):
-            raise ValueError("attribute labels must be unique")
+        for what, labels in (("object", self.objects), ("attribute", self.attributes)):
+            if len(set(labels)) != len(labels):
+                raise ValueError(f"{what} labels must be unique")
         shape = (len(self.objects), len(self.attributes))
         cells = np.array(self.incidence_array)
         # bool() would read any number, text or None as a truth value
@@ -108,12 +113,7 @@ class Context:
         return hash((self.objects, self.attributes, self.incidence_array.tobytes()))
 
     @classmethod
-    def from_pairs(
-        cls,
-        objects: Sequence[str],
-        attributes: Sequence[str],
-        pairs: Iterable[tuple[str, str]],
-    ) -> "Context":
+    def from_pairs(cls, objects: Sequence[str], attributes: Sequence[str], pairs: Iterable[tuple[str, str]]) -> "Context":
         blank = cls(objects, attributes, np.zeros((len(objects), len(attributes)), dtype=bool))
         grid = blank.incidence_array.copy()
         for g, m in pairs:
@@ -177,9 +177,9 @@ class Context:
         return self.T.polar_up_mask(self.polar_up_mask(object_mask))
 
     def to_profunctor(self):
-        """The incidence relation as a truth-valued profunctor, for use with
-        the generic push/pull machinery."""
-        return Profunctor(self.incidence_array, TRUTH)
+        """The incidence relation as a truth-valued profunctor from the
+        objects to the attributes, for core's push and pull."""
+        return Profunctor(self.incidence_array, TRUTH, self.objects, self.attributes)
 
 
 @dataclass(frozen=True)
@@ -245,9 +245,10 @@ def _lectic_closed_extents(ctx: Context) -> list[tuple[int, int]]:
     extent of s = t & row_k in rows 0..k: the closure c of s in the earlier
     rows lies inside every source t, so c & row_k is s.  So c is a source
     itself, and its extent holds every other source's.  An intent inside
-    row_k is its own source and so gains k.  On ``ctx.T`` each pair
-    is swapped back.  Sorting by the extent's little-endian bytes, each
-    bit-reversed, gives the order: the key compares label 0 first.
+    row_k is its own source and so gains k.  A table past MAX_CONCEPTS after
+    a row is refused.  On ``ctx.T`` each pair is swapped back.  Sorting by
+    the extent's little-endian bytes, each bit-reversed, gives the order:
+    the key compares label 0 first.
     """
     transposed = _transposed(ctx)
     walked = ctx.T if transposed else ctx
@@ -258,6 +259,9 @@ def _lectic_closed_extents(ctx: Context) -> list[tuple[int, int]]:
         for intent, extent in list(found.items()):
             intent &= row
             found[intent] = get(intent, 0) | extent | bit
+        if len(found) > MAX_CONCEPTS:
+            walked_rows = f"{k + 1} of {len(walked.objects)} rows"
+            raise TooManyConceptsError(f"{len(found)} concepts after {walked_rows}, more than the cap of {MAX_CONCEPTS}")
     pairs = found.items() if transposed else ((e, b) for b, e in found.items())
     nbytes = (len(ctx.objects) + 7) // 8
     return sorted(pairs, key=lambda c: c[0].to_bytes(nbytes, "little").translate(_REVERSED_BITS))
@@ -309,14 +313,9 @@ class ConceptLattice:
     def index_of(self, concept: Concept) -> int:
         return self.concepts.index(concept)
 
-    @cached_property
-    def order(self) -> tuple[tuple[bool, ...], ...]:
-        """``order[i][j]``: concept i <= concept j, by extent inclusion.  More
-        than MAX_ORDER_CELLS cells are refused before any is built."""
-        masks = self.extent_masks
-        if len(masks) ** 2 > MAX_ORDER_CELLS:
-            raise ValueError(f"{len(masks)} concepts give {len(masks) ** 2} order cells, more than {MAX_ORDER_CELLS}")
-        return tuple(tuple(a & b == a for b in masks) for a in masks)
+    def leq(self, i: int, j: int) -> bool:
+        """Concept i <= concept j: extent i lies inside extent j."""
+        return self.extent_masks[i] & ~self.extent_masks[j] == 0
 
     @property
     def top(self) -> Concept:

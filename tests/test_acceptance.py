@@ -288,7 +288,8 @@ def test_criterion_09_lattice_formulas(random_contexts):
         join_idx = join_lut[unions]
         assert (join_idx >= 0).all()
 
-        order = np.array(lat.order, dtype=bool)
+        order = np.array([[lat.leq(i, j) for j in range(n)] for i in range(n)], dtype=bool)
+        assert np.array_equal(order, (masks[:, None] & ~masks[None, :]) == 0)  # extent inclusion
         rows = np.arange(n)[:, None]
         cols = np.arange(n)[None, :]
         # the formula results are common lower/upper bounds...

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nucleus.core import TRUTH, FormatError, PresheafVector, Profunctor, Side, pull, push
+from nucleus import galois
+from nucleus.cli import run
+from nucleus.core import TRUTH, FormatError, PresheafVector, Profunctor, Side, SizeMismatchError, pull, push
 from nucleus.galois import (
-    MAX_ORDER_CELLS,
     Concept,
     Context,
     NotAConceptError,
@@ -119,17 +120,24 @@ def test_close_extent_is_a_closure_operator():
 def test_polars_match_core_push_pull():
     for ctx in (WORKED, IDENT2, FULL):
         rel = ctx.to_profunctor()
-        assert rel == Profunctor(ctx.incidence, TRUTH)
+        assert rel == Profunctor(ctx.incidence, TRUTH, ctx.objects, ctx.attributes)
         for r in range(len(ctx.objects) + 1):
             for subset in itertools.combinations(ctx.objects, r):
-                vec = PresheafVector(tuple(g in subset for g in ctx.objects), Side.PRE, TRUTH)
+                vec = PresheafVector(tuple(g in subset for g in ctx.objects), Side.PRE, TRUTH, ctx.objects)
                 pushed = push(rel, vec)
                 assert pushed.values == tuple(m in set(polar_up(ctx, subset)) for m in ctx.attributes)
+                assert pushed.objects == ctx.attributes
         for r in range(len(ctx.attributes) + 1):
             for subset in itertools.combinations(ctx.attributes, r):
-                vec = PresheafVector(tuple(m in subset for m in ctx.attributes), Side.OPCO, TRUTH)
+                vec = PresheafVector(tuple(m in subset for m in ctx.attributes), Side.OPCO, TRUTH, ctx.attributes)
                 pulled = pull(rel, vec)
                 assert pulled.values == tuple(g in set(polar_down(ctx, subset)) for g in ctx.objects)
+                assert pulled.objects == ctx.objects
+    # core compares the labels: a subset of other objects is refused
+    with pytest.raises(SizeMismatchError):
+        push(WORKED.to_profunctor(), PresheafVector((True, False, True), Side.PRE, TRUTH, ("1", "3", "2")))
+    with pytest.raises(SizeMismatchError):
+        pull(WORKED.to_profunctor(), PresheafVector((True, False), Side.OPCO, TRUTH, WORKED.objects[:2]))
 
 
 def test_galois_connection_exhaustive_small_contexts():
@@ -242,20 +250,31 @@ def test_order_matrix_and_top_bottom():
     i_small = by_extent[frozenset({"2"})]
     i_mid = by_extent[frozenset({"1", "2"})]
     i_top = by_extent[frozenset({"1", "2", "3"})]
-    assert lat.order[i_small][i_mid] and lat.order[i_mid][i_top]
-    assert not lat.order[i_top][i_small]
+    assert lat.leq(i_small, i_mid) and lat.leq(i_mid, i_top) and lat.leq(i_small, i_small)
+    assert not lat.leq(i_top, i_small)
     assert lat.top.extent == ("1", "2", "3")
     assert lat.bottom.extent == ("2",)
 
 
-def test_order_is_refused_past_its_cell_cap():
-    # the co-diagonal context on n labels has every subset as an extent
-    labels = [str(i) for i in range(13)]
-    codiagonal = Context.from_pairs(labels, labels, [(g, m) for g in labels for m in labels if g != m])
-    lat = enumerate_concepts(codiagonal)
-    assert len(lat) == 8192 and 8192**2 > MAX_ORDER_CELLS
-    with pytest.raises(ValueError, match=f"^8192 concepts give 67108864 order cells, more than {MAX_ORDER_CELLS}$"):
-        lat.order
+def codiagonal(n):
+    """The co-diagonal context on n labels: every subset is an extent."""
+    labels = [str(i) for i in range(n)]
+    return Context.from_pairs(labels, labels, [(g, m) for g in labels for m in labels if g != m])
+
+
+def test_walk_is_refused_past_the_concept_cap(monkeypatch, tmp_path, capsys):
+    assert len(enumerate_concepts(codiagonal(13))) == 8192 <= galois.MAX_CONCEPTS
+    monkeypatch.setattr(galois, "MAX_CONCEPTS", 4096)
+    # the table doubles with each row, so it passes 4096 at the last one
+    message = "8192 concepts after 13 of 13 rows, more than the cap of 4096"
+    with pytest.raises(galois.TooManyConceptsError, match=f"^{message}$"):
+        enumerate_concepts(codiagonal(13))
+    assert len(enumerate_concepts(codiagonal(12))) == 4096
+    path = tmp_path / "codiagonal.cxt"
+    path.write_text(render_cxt(codiagonal(13)))
+    for verb in ("concepts", "lattice"):  # exit 2, naming the file
+        assert run([verb, str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
 
 def test_lattice_meet_join_examples():
@@ -329,7 +348,7 @@ def test_meet_join_agree_with_order_matrix():
         ctx = random_context(rng, 7, 7)
         lat = enumerate_concepts(ctx)
         n = len(lat)
-        order = lat.order
+        order = [[lat.leq(i, j) for j in range(n)] for i in range(n)]
         for i in range(n):
             for j in range(n):
                 met = lat.index_of(lattice_meet(ctx, lat.concepts[i], lat.concepts[j]))
@@ -488,10 +507,10 @@ def test_context_holds_one_read_only_array():
         ctx.incidence_array[0, 0] = False
     for ctx in (parse_cxt(render_cxt(WORKED)), parse_context_csv(render_context_csv(WORKED))):
         enumerate_concepts(ctx).covers()
-        assert ctx.to_profunctor() == Profunctor(ctx.incidence_array, TRUTH)
+        assert ctx.to_profunctor() == Profunctor(ctx.incidence_array, TRUTH, ctx.objects, ctx.attributes)
         assert render_cxt(ctx) and render_context_csv(ctx)
         assert "incidence" not in vars(ctx)
-        assert ctx.to_profunctor() == Profunctor(ctx.incidence, TRUTH)
+        assert ctx.to_profunctor() == Profunctor(ctx.incidence, TRUTH, ctx.objects, ctx.attributes)
         assert ctx.incidence == ((True, False), (True, True), (False, False))
 
 

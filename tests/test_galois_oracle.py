@@ -160,11 +160,11 @@ def test_lattice_matches_dense_oracles():
     for ctx in contexts():
         lat = enumerate_concepts(ctx)
         want = oracle_order(lat)
-        assert lat.order == want
+        n = len(lat)
+        assert tuple(tuple(lat.leq(i, j) for j in range(n)) for i in range(n)) == want
         assert lat.top == oracle_top(lat, want) and lat.bottom == oracle_bottom(lat, want)
         assert lat.top.extent == ctx.objects
         assert lat.covers() == oracle_covers(want)
-        assert np.array_equal(np.array(lat.order, dtype=bool), np.array(want, dtype=bool))
 
 
 def walk_contexts():
@@ -309,12 +309,14 @@ def test_three_thousand_objects_match_the_oracles():
 
 
 def test_order_is_built_only_when_read():
+    # no order table: each leq reads two extent masks, and nothing is kept
     ctx = random_context(random.Random(5), 8, 6)
     lat = enumerate_concepts(ctx)
-    assert "order" not in vars(lat)
+    fields = set(vars(lat))
     assert lat.top.extent == ctx.objects and lat.bottom == lat.concepts[0]
+    assert all(lat.leq(0, j) and lat.leq(j, len(lat) - 1) for j in range(len(lat)))
     lat.covers()
-    assert "order" not in vars(lat)
+    assert set(vars(lat)) == fields == {f.name for f in dataclasses.fields(lat)}
 
 
 def large_contexts():

@@ -1,4 +1,5 @@
-"""The linear-time Legendre transform against the brute-force oracle.
+"""The linear-time Legendre transform against the brute-force oracle, and
+the paper's two tropical module structures under conjugation.
 
 The oracle is the push and pull of ``core.adjoint_arrays`` on the whole
 pairing k*x, which is how the transforms were computed before the kernel.
@@ -6,7 +7,10 @@ Infinite tags must match exactly.  Finite values must agree within
 ``TRANSFORM_RTOL`` times the scale ``max|k| * max|x| + max|f(x)|`` (finite
 values only), and bit for bit on inputs the kernel hands to the brute
 force: where ``max|k| * max|x|`` or the spread of the finite values times
-the spread of their abscissae leaves the float range.
+the spread of their abscissae leaves the float range.  Conjugation turns
+a shift up by a into a shift down by a, and the pointwise infimum of a
+family into the pointwise supremum of the conjugates, within the same
+bound, on inputs that stay inside the float range.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nucleus.core import EXT_REAL, adjoint_arrays
+from nucleus import extreal as ext
+from nucleus.core import EXT_REAL, LimitKind, adjoint_arrays, pointwise_meet, residuate_each
 from nucleus.legendre import (
     TRANSFORM_RTOL,
     Grid,
@@ -28,7 +33,9 @@ from nucleus.legendre import (
     biconjugate,
     conjugate,
     convex_hull_oracle,
+    cvx_scale,
     default_dual_grid,
+    pointwise_inf,
     reverse_conjugate,
 )
 
@@ -36,6 +43,9 @@ EDGE = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7e308, -1.7e308]
 LATTICE = [i / 4 for i in range(-40, 41)]
 COORD = st.one_of(st.sampled_from(EDGE), st.sampled_from(LATTICE))
 VALUE = st.one_of(st.sampled_from([math.inf, -math.inf]), COORD)
+# mixed scales and subnormals, but no shift or transform leaves the float range
+MODULE_COORD = st.one_of(st.sampled_from([0.0, 5e-324, -5e-324, 1e6, -1e6, 1e-6]), st.sampled_from(LATTICE))
+MODULE_VALUE = st.one_of(st.sampled_from([math.inf, -math.inf]), MODULE_COORD)
 
 
 def pairing(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -71,34 +81,53 @@ def scale(points, values, queries) -> float:
     return reach(points, queries) + (float(np.abs(values[fin]).max()) if fin.any() else 0.0)
 
 
-def assert_agrees(got, points, values, queries):
-    want = brute(points, values, queries) + 0.0  # sampled functions hold zero as +0.0
+def assert_within(got, want, bound):
+    """Infinite tags equal, finite values within the bound."""
     assert np.array_equal(np.isposinf(got), np.isposinf(want))
     assert np.array_equal(np.isneginf(got), np.isneginf(want))
+    both = np.isfinite(want)
+    assert np.all(np.abs(got[both] - want[both]) <= bound)
+
+
+def assert_agrees(got, points, values, queries):
+    want = brute(points, values, queries) + 0.0  # sampled functions hold zero as +0.0
     if handed_to_brute_force(points, values, queries):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         return
-    both = np.isfinite(want)
-    assert np.all(np.abs(got[both] - want[both]) <= TRANSFORM_RTOL * scale(points, values, queries))
+    assert_within(got, want, TRANSFORM_RTOL * scale(points, values, queries))
 
 
-@st.composite
-def sampled(draw, space: Space):
-    """Up to 40 samples from the edge and lattice pools; some or all of the
-    values lie on one lattice line, so that collinear points tie."""
-    xs = sorted(draw(st.lists(COORD, min_size=1, max_size=40, unique=True)))
+def values_on(draw, xs, value=VALUE):
+    """One value per abscissa; some or all of them lie on one lattice line,
+    so that collinear points tie."""
     slope, icept = draw(st.sampled_from(LATTICE)), draw(st.sampled_from(LATTICE))
     on_line = draw(st.lists(st.booleans(), min_size=len(xs), max_size=len(xs)))
-    vals = [
-        slope * x + icept if keep and math.isfinite(slope * x + icept) else draw(VALUE)
+    return [
+        slope * x + icept if keep and math.isfinite(slope * x + icept) else draw(value)
         for x, keep in zip(xs, on_line)
     ]
-    return SampledFunction(Grid(xs), vals, space)
 
 
 @st.composite
-def grids(draw):
-    return Grid(sorted(draw(st.lists(COORD, min_size=1, max_size=40, unique=True))))
+def sampled(draw, space: Space, coord=COORD, value=VALUE):
+    """Up to 40 samples from the coordinate pool, by default the edge and
+    lattice pools."""
+    xs = sorted(draw(st.lists(coord, min_size=1, max_size=40, unique=True)))
+    return SampledFunction(Grid(xs), values_on(draw, xs, value), space)
+
+
+@st.composite
+def grids(draw, coord=COORD):
+    return Grid(sorted(draw(st.lists(coord, min_size=1, max_size=40, unique=True))))
+
+
+@st.composite
+def families(draw):
+    """One to four primal functions on one grid, from the module pools."""
+    head = draw(sampled(Space.PRIMAL, MODULE_COORD, MODULE_VALUE))
+    xs = head.grid.as_array.tolist()
+    rest = [values_on(draw, xs, MODULE_VALUE) for _ in range(draw(st.integers(0, 3)))]
+    return [head, *(SampledFunction(head.grid, vals, Space.PRIMAL) for vals in rest)]
 
 
 @settings(max_examples=400, deadline=None)
@@ -169,3 +198,22 @@ def test_subnormal_turns_are_not_collinear():
     assert conjugate(f, Grid((0.0,))).values_array.tolist() == [5e-324]
     g = SampledFunction(Grid((-5e-324, 0.0, 5e-324)), [0.0, -5e-324, 0.0], Space.DUAL)
     assert reverse_conjugate(g, Grid((0.0,))).values_array.tolist() == [5e-324]
+
+
+@settings(max_examples=400, deadline=None)
+@given(sampled(Space.PRIMAL, MODULE_COORD, MODULE_VALUE), grids(MODULE_COORD), MODULE_VALUE)
+def test_conjugating_a_shift_up_by_a_shifts_down_by_a(f, dual, a):
+    shifted = cvx_scale(LimitKind.TENSOR, ext.from_float(a), f)
+    got = conjugate(shifted, dual).values_array
+    want = residuate_each(ext.from_float(a), conjugate(f, dual)).values_array
+    values = np.concatenate([f.values_array, shifted.values_array])
+    assert_within(got, want, TRANSFORM_RTOL * scale(f.grid.as_array, values, dual.as_array))
+
+
+@settings(max_examples=400, deadline=None)
+@given(families(), grids(MODULE_COORD))
+def test_conjugating_an_infimum_gives_the_supremum_of_the_conjugates(fs, dual):
+    got = conjugate(pointwise_inf(fs), dual).values_array
+    want = pointwise_meet([conjugate(f, dual) for f in fs]).values_array
+    values = np.concatenate([f.values_array for f in fs])
+    assert_within(got, want, TRANSFORM_RTOL * scale(fs[0].grid.as_array, values, dual.as_array))
