@@ -29,7 +29,7 @@ import numpy as np
 
 from . import extreal as ext
 from .core import FormatError, SizeMismatchError, compose_profunctors, parse_matrix_csv, render_matrix_csv
-from .galois import TooManyConceptsError, enumerate_concepts, export_dot, parse_context_csv, parse_cxt
+from .galois import TooManyConceptsError, enumerate_concepts, export_dot, parse_context_csv, parse_cxt, render_concepts
 from .legendre import (
     DEFAULT_TOL,
     Grid,
@@ -201,7 +201,7 @@ _VERBS = {
         )),
     "concepts": _Verb(
         "list all concepts of a context (.cxt or CSV)",
-        lambda args, ctx: "".join(f"{c}\n" for c in enumerate_concepts(ctx).concepts),
+        lambda args, ctx: render_concepts(enumerate_concepts(ctx)),
         ("input",), _parse_context),
     "lattice": _Verb(
         "DOT Hasse diagram of the concept lattice",

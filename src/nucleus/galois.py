@@ -12,13 +12,16 @@ are the same pairs with the sides swapped and the order reversed.
 The lattice is walked on the smaller side, intersecting every intent
 found so far with one row at a time, so each intent arrives with its
 extent and no polar is taken; a walk past MAX_CONCEPTS is refused.  A
-lattice keeps the concepts with their extent and intent masks and the
-context.  The order is inclusion of the extent masks, and the covers are
-each concept's upper neighbours (Lindig, "Fast Concept Analysis", 2000),
-found by intent in a table.  Meets intersect extents, joins intersect
-intents; a concept galois built keeps its masks, which its own context
-reads back unchecked.  A context's CSV form is core's labelled table
-with 0/1 cells, read in whole columns.
+lattice is the walk's extent and intent masks and the context; its
+``Concept`` objects are a view built when read, and its text forms decode
+the labels straight from the masks.  The order is inclusion of the extent
+masks.  The covers are each concept's upper neighbours (Lindig, "Fast
+Concept Analysis", 2000), found in one array pass over the masks packed
+into 64-bit words: concept j covers concept i iff every object of extent
+j outside extent i leads from i to j.  Meets intersect extents, joins
+intersect intents; a concept galois built keeps its masks, which its own
+context reads back unchecked.  A context's CSV form is core's labelled
+table with 0/1 cells, read in whole columns.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ __all__ = [
     "lattice_meet",
     "lattice_join",
     "export_dot",
+    "render_concepts",
     "parse_cxt",
     "render_cxt",
     "parse_context_csv",
@@ -54,6 +58,9 @@ __all__ = [
 
 # Most concepts the walk's table may hold after a row, which at most doubles it.
 MAX_CONCEPTS = 1 << 19
+# Most 64-bit words one block of the covers pass holds per candidate array:
+# a block of concepts takes (intent words + 4) words per object outside them.
+COVERS_BLOCK_WORDS = 1 << 18
 
 
 class UnknownLabelError(ValueError):
@@ -200,7 +207,10 @@ class Concept:
         return Concept, (self.extent, self.intent)
 
     def __str__(self) -> str:
-        return "({%s}, {%s})" % (", ".join(self.extent), ", ".join(self.intent))
+        return _CONCEPT_TEXT % (", ".join(self.extent), ", ".join(self.intent))
+
+
+_CONCEPT_TEXT = "({%s}, {%s})"
 
 
 def polar_up(ctx: Context, objects: Iterable[str]) -> tuple[str, ...]:
@@ -270,45 +280,100 @@ def _lectic_closed_extents(ctx: Context) -> list[tuple[int, int]]:
 _REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def _upper_neighbours(ctx: Context, extents: Sequence[int], intents: Sequence[int]) -> list[tuple[int, int]]:
-    """Pairs (i, j) with concept j covering concept i, by Lindig's upper
-    neighbours: for each concept (A, B), every object g outside A gives the
-    candidate (A + g)'' with intent B & row_g.  Intents are closed under
-    intersection, so that intent is already a concept's, and a table from
-    intent to index finds it with no polar.  The candidate is an upper
-    neighbour unless it holds another object still marked minimal beyond
-    A, in which case g stops being minimal.  O(n |G|) word operations."""
-    rows = ctx._rows
-    index = {b: i for i, b in enumerate(intents)}
-    full = (1 << len(ctx.objects)) - 1
-    edges = []
-    for i, (extent, intent) in enumerate(zip(extents, intents)):
-        minimal = rest = full & ~extent
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            j = index[intent & rows[low.bit_length() - 1]]
-            if extents[j] & minimal & ~low:
-                minimal ^= low
-            else:
-                edges.append((i, j))
-    return edges
+def _packed(masks: Sequence[int], words: int) -> np.ndarray:
+    """Masks as rows of ``words`` little-endian 64-bit words, packed in
+    chunks of at most COVERS_BLOCK_WORDS words."""
+    out = np.empty((len(masks), words), "<u8")
+    nbytes, step = 8 * words, max(1, COVERS_BLOCK_WORDS // words)
+    for lo in range(0, len(masks), step):
+        chunk = b"".join(m.to_bytes(nbytes, "little") for m in masks[lo:lo + step])
+        out[lo:lo + step] = np.frombuffer(chunk, "<u8").reshape(-1, words)
+    return out
 
 
-@dataclass(frozen=True)
+def _keys(packed: np.ndarray) -> np.ndarray:
+    """One sortable key per row of words: the word itself when there is
+    one, else the row's bytes as one fixed-width string."""
+    words = packed.shape[1]
+    return packed[:, 0] if words == 1 else packed.view(f"S{8 * words}")[:, 0]
+
+
+def _upper_neighbours(ctx: Context, extents: Sequence[int], intents: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j), sorted, of concept j covering concept i, by
+    Lindig's upper neighbours in one array pass.  For each concept (A, B)
+    and each object g outside A, the candidate (A + g)'' has intent
+    B & row_g, which is a concept's, since intents are closed under
+    intersection: one ``searchsorted`` finds it among the sorted intents.
+    j covers i iff every object of extent j outside A leads to j: each
+    such g leads to a concept between i and j, and a concept k strictly
+    between would hold such a g, whose candidate lies inside k.  Every g
+    leading to j lies in extent j outside A, so the test is a count:
+    |extent j| - |A| objects.  Candidates go in blocks of concepts of at
+    most COVERS_BLOCK_WORDS words; the whole-lattice arrays are the packed
+    intents and three indices per concept."""
+    n, width = len(extents), len(ctx.objects)
+    words = -(-len(ctx.attributes) // 64)
+    order = np.argsort(_keys(_packed(intents, words)))
+    intents = _packed([intents[k] for k in order.tolist()], words)  # sorted, packed once more: one copy held
+    keys = _keys(intents)
+    rank = np.empty(n, np.intp)
+    rank[order] = np.arange(n)
+    rows = _packed(ctx._rows, words)
+    sizes = np.fromiter(map(int.bit_count, extents), np.int64, n)
+    nbytes = (width + 7) // 8
+    step = max(1, COVERS_BLOCK_WORDS // (width * (words + 4)))
+    heads, tails = [], []
+    for lo in range(0, n, step):
+        block = extents[lo:lo + step]
+        packed = np.frombuffer(b"".join(e.to_bytes(nbytes, "little") for e in block), np.uint8)
+        inside = np.unpackbits(packed.reshape(len(block), nbytes), axis=1, count=width, bitorder="little")
+        i, g = np.nonzero(inside == 0)
+        i += lo
+        candidates = intents[rank[i]]
+        candidates &= rows[g]
+        j = order[np.searchsorted(keys, _keys(candidates))]
+        pairs, counts = np.unique(i * np.int64(n) + j, return_counts=True)
+        i, j = np.divmod(pairs, n)
+        kept = counts == sizes[j] - sizes[i]
+        heads.append(i[kept])
+        tails.append(j[kept])
+    return np.concatenate(heads), np.concatenate(tails)
+
+
+@dataclass(frozen=True, eq=False)
 class ConceptLattice:
-    """All concepts of a context in lectic order, with the extent and intent
-    bitmasks of each: the first is the bottom, the closure of the empty
-    set, and the last is the top, whose extent holds every object.  The
-    context they were enumerated from is kept for ``covers``."""
+    """All concepts of a context in lectic order, as the extent and intent
+    bitmasks of each and the context they were enumerated from: the first
+    is the bottom, the closure of the empty set, and the last is the top,
+    whose extent holds every object.  ``concepts`` is their ``Concept``
+    view, built when read; the length, the order, the covers and the text
+    forms read the masks alone.  Two lattices are equal iff their concepts
+    are: the top names every object and the bottom every attribute, so
+    that is equal labels and equal masks."""
 
-    concepts: tuple[Concept, ...]
     extent_masks: tuple[int, ...]
-    context: Context = field(repr=False, compare=False)
-    intent_masks: tuple[int, ...] = field(repr=False, compare=False)
+    intent_masks: tuple[int, ...] = field(repr=False)
+    context: Context = field(repr=False)
+
+    @cached_property
+    def concepts(self) -> tuple[Concept, ...]:
+        ctx = self.context
+        return tuple(_concept(ctx, e, b) for e, b in zip(self.extent_masks, self.intent_masks))
+
+    def _key(self) -> tuple:
+        ctx = self.context
+        return ctx.objects, ctx.attributes, self.extent_masks, self.intent_masks
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ConceptLattice):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __len__(self) -> int:
-        return len(self.concepts)
+        return len(self.extent_masks)
 
     def index_of(self, concept: Concept) -> int:
         return self.concepts.index(concept)
@@ -329,30 +394,35 @@ class ConceptLattice:
         """Pairs (i, j) with concept j covering concept i, sorted: the upper
         neighbours on the side the concepts were walked on.  On ``ctx.T``
         the order is reversed, so its edge (i, j) is the edge (j, i) here.
-        No polar, O(n min(|G|, |M|)) word operations, O(n + edges) memory."""
+        No polar, O(n min(|G|, |M|)) word operations on intents of
+        max(|G|, |M|) bits, in blocks."""
         ctx = self.context
+        n = len(self)
+        if n == 1:  # no edge, and the walked side may have no labels
+            return ()
         if _transposed(ctx):
-            edges = [(j, i) for i, j in _upper_neighbours(ctx.T, self.intent_masks, self.extent_masks)]
+            tails, heads = _upper_neighbours(ctx.T, self.intent_masks, self.extent_masks)
+            pairs = np.sort(heads * np.int64(n) + tails)
+            heads, tails = np.divmod(pairs, n)
         else:
-            edges = _upper_neighbours(ctx, self.extent_masks, self.intent_masks)
-        edges.sort()
-        return tuple(edges)
+            heads, tails = _upper_neighbours(ctx, self.extent_masks, self.intent_masks)
+        return tuple(zip(heads.tolist(), tails.tolist()))
 
 
 def _concept(ctx: Context, extent: int, intent: int) -> Concept:
-    """The concept of ``ctx`` with these masks, keeping them: a Context is
-    frozen, so the pair stays closed in it."""
-    concept = Concept(ctx.object_labels(extent), ctx.T.object_labels(intent))
-    object.__setattr__(concept, "_found", (ctx, extent, intent))
+    """The concept of ``ctx`` with these masks, keeping them, its three
+    fields filled at once: a Context is frozen, so the pair stays closed in
+    it."""
+    concept = object.__new__(Concept)
+    concept.__dict__.update(extent=ctx.object_labels(extent), intent=ctx.T.object_labels(intent),
+                            _found=(ctx, extent, intent))
     return concept
 
 
 def enumerate_concepts(ctx: Context) -> ConceptLattice:
     """Complete concept set in lectic order of the extents."""
-    pairs = _lectic_closed_extents(ctx)
-    concepts = tuple(_concept(ctx, e, b) for e, b in pairs)
-    extents, intents = zip(*pairs)  # there is always a bottom concept
-    return ConceptLattice(concepts, extents, ctx, intents)
+    extents, intents = zip(*_lectic_closed_extents(ctx))  # there is always a bottom concept
+    return ConceptLattice(extents, intents, ctx)
 
 
 def _masks_of(ctx: Context, concept: Concept) -> tuple[int, int]:
@@ -392,11 +462,26 @@ def lattice_join(ctx: Context, c1: Concept, c2: Concept) -> Concept:
     return _concept(ctx, ctx.polar_down_mask(intent), intent)
 
 
+def _joined_labels(lattice: ConceptLattice) -> Iterable[tuple[str, str]]:
+    """Each concept's extent and intent labels, comma-joined, decoded
+    from the masks."""
+    ctx = lattice.context
+    objects, attributes = ctx.object_labels, ctx.T.object_labels
+    for extent, intent in zip(lattice.extent_masks, lattice.intent_masks):
+        yield ", ".join(objects(extent)), ", ".join(attributes(intent))
+
+
+def render_concepts(lattice: ConceptLattice) -> str:
+    """One concept a line, as ``str`` writes it, in lectic order."""
+    line = _CONCEPT_TEXT + "\n"
+    return "".join(line % labels for labels in _joined_labels(lattice))
+
+
 def export_dot(lattice: ConceptLattice) -> str:
     """GraphViz source for the Hasse diagram, edges pointing up the order."""
     lines = ["digraph concepts {", "  rankdir=BT;", "  node [shape=box];"]
-    for i, c in enumerate(lattice.concepts):
-        label = "{%s} / {%s}" % (", ".join(c.extent), ", ".join(c.intent))
+    for i, labels in enumerate(_joined_labels(lattice)):
+        label = "{%s} / {%s}" % labels
         label = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  c{i} [label="{label}"];')
     for i, j in lattice.covers():

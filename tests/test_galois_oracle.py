@@ -3,11 +3,14 @@
 The oracles are the earlier formulations: the inclusion order from
 extents as label sets, ``top`` and ``bottom`` as O(n^2) scans of that
 order, ``covers`` as the transitive reduction of the dense order matrix,
-the NextClosure walk, and the upper-neighbour covers that spent one polar
-per object outside each extent.  The lattice must agree with them exactly
-on random contexts, including ones without objects or without attributes,
-with duplicate rows and with masks that span several machine words.  The
-walk, by row intersections, must take no polar.  Concepts that keep the
+the NextClosure walk, the upper-neighbour covers that spent one polar
+per object outside each extent, and the upper-neighbour loop that found
+each candidate in a table from intent to concept.  The lattice must agree
+with them exactly on random contexts, including ones without objects or
+without attributes, with duplicate rows and with extents and intents that
+span several machine words, and with its covers computed in blocks of one
+concept.  The walk, by row intersections, must take no polar, and the
+lattice builds its ``Concept`` objects only when they are read.  Concepts that keep the
 masks they were enumerated with must give the meets, joins and
 ``is_concept`` answers of label-only copies, and a concept of another
 context, or a copy, is checked by its labels.  The set-bit polar and label
@@ -28,6 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nucleus import galois
 from nucleus.core import EXT_REAL, FormatError, Profunctor, parse_matrix_csv, render_matrix_csv
 from nucleus.galois import (
     Concept,
@@ -40,6 +44,7 @@ from nucleus.galois import (
     lattice_meet,
     parse_context_csv,
     parse_cxt,
+    render_concepts,
     render_context_csv,
     render_cxt,
 )
@@ -121,6 +126,30 @@ def oracle_polar_covers(ctx, extents):
     return tuple(sorted(edges))
 
 
+def oracle_lindig_covers(lat):
+    """Lindig's upper neighbours on the context's own side, each candidate
+    found by intent in a table: for each concept (A, B), every object g
+    outside A gives the candidate with intent B & row_g, an upper neighbour
+    unless it holds another object still marked minimal beyond A, in which
+    case g stops being minimal."""
+    ctx, extents, intents = lat.context, lat.extent_masks, lat.intent_masks
+    rows = ctx._rows
+    index = {b: i for i, b in enumerate(intents)}
+    full = (1 << len(ctx.objects)) - 1
+    edges = []
+    for i, (extent, intent) in enumerate(zip(extents, intents)):
+        minimal = rest = full & ~extent
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = index[intent & rows[low.bit_length() - 1]]
+            if extents[j] & minimal & ~low:
+                minimal ^= low
+            else:
+                edges.append((i, j))
+    return tuple(sorted(edges))
+
+
 def oracle_polar(ctx, mask, side):
     """The per-bit polar: every bit position up to the highest set bit."""
     n, m = len(ctx.objects), len(ctx.attributes)
@@ -149,11 +178,18 @@ def random_context(rng, n, m, density=None):
     )
 
 
+def wide_context():
+    """90x70 at density 0.1, about 600 concepts: walked on its 70 attributes,
+    so both its extents and its intents span two machine words."""
+    return random_context(random.Random(89), 90, 70, 0.1)
+
+
 def contexts():
     rng = random.Random(11)
     yield from (random_context(rng, n, m) for n, m in ((0, 0), (0, 3), (3, 0), (1, 1)))
     for _ in range(40):
         yield random_context(rng, rng.randint(0, 9), rng.randint(0, 9))
+    yield wide_context()
 
 
 def test_lattice_matches_dense_oracles():
@@ -168,10 +204,10 @@ def test_lattice_matches_dense_oracles():
 
 
 def walk_contexts():
-    """311 contexts: without objects and/or attributes, tall and wide ones
+    """312 contexts: without objects and/or attributes, tall and wide ones
     of up to 300 labels a side (masks of several machine words, walked on
-    either side), then densities 0.05-0.95 with every fourth context's rows
-    drawn with repeats."""
+    either side), densities 0.05-0.95 with every fourth context's rows
+    drawn with repeats, then ``wide_context``."""
     rng = random.Random(47)
     yield from (random_context(rng, n, m) for n, m in ((0, 0), (0, 4), (4, 0)))
     yield from (random_context(rng, 130, m, 0.5) for m in (5, 8))
@@ -182,6 +218,7 @@ def walk_contexts():
             rows = tuple(rng.choice(ctx.incidence) for _ in ctx.incidence)
             ctx = Context(ctx.objects, ctx.attributes, rows)
         yield ctx
+    yield wide_context()
 
 
 def test_walk_and_covers_match_next_closure_and_polar_covers():
@@ -195,6 +232,30 @@ def test_walk_and_covers_match_next_closure_and_polar_covers():
         covers = oracle_polar_covers(ctx, extents)
         assert lat.covers() == covers
         assert export_dot(lat) == oracle_dot(lat, covers)
+
+
+def test_covers_match_the_lindig_loop():
+    for ctx in walk_contexts():
+        lat = enumerate_concepts(ctx)
+        assert lat.covers() == oracle_lindig_covers(lat)
+
+
+def test_covers_in_blocks_of_one_concept_match_the_oracles(monkeypatch):
+    """A budget of a few words puts each concept in a block of its own,
+    and the edges, in order, are still the oracles'."""
+    monkeypatch.setattr(galois, "COVERS_BLOCK_WORDS", 4)
+    keyed = []
+    keys = galois._keys
+    monkeypatch.setattr(galois, "_keys", lambda packed: keyed.append(len(packed)) or keys(packed))
+    rng = random.Random(97)
+    shapes = ((20, 14, 0.45), (130, 9, 0.5), (9, 130, 0.5), (3, 70, 0.5), (70, 3, 0.5))
+    for ctx in (wide_context(), *(random_context(rng, n, m, d) for n, m, d in shapes)):
+        lat = enumerate_concepts(ctx)
+        keyed.clear()
+        covers = lat.covers()
+        assert len(keyed) == len(lat) + 2  # the intents, sorted and not, then one block per concept
+        assert covers == oracle_polar_covers(ctx, oracle_next_closure(ctx))
+        assert covers == oracle_covers(oracle_order(lat)) == oracle_lindig_covers(lat)
 
 
 @pytest.mark.parametrize("n, m, seed", [(30, 30, 3), (40, 20, 7), (2000, 3, 13)])
@@ -309,14 +370,44 @@ def test_three_thousand_objects_match_the_oracles():
 
 
 def test_order_is_built_only_when_read():
-    # no order table: each leq reads two extent masks, and nothing is kept
+    # no order table and no Concept objects: the length, each leq, the
+    # covers and both text forms read the masks, and nothing is kept
     ctx = random_context(random.Random(5), 8, 6)
     lat = enumerate_concepts(ctx)
-    fields = set(vars(lat))
-    assert lat.top.extent == ctx.objects and lat.bottom == lat.concepts[0]
     assert all(lat.leq(0, j) and lat.leq(j, len(lat) - 1) for j in range(len(lat)))
     lat.covers()
-    assert set(vars(lat)) == fields == {f.name for f in dataclasses.fields(lat)}
+    export_dot(lat)
+    render_concepts(lat)
+    assert "concepts" not in vars(lat) and set(vars(lat)) == {f.name for f in dataclasses.fields(lat)}
+    # read, the view is the tuple of concepts that was built eagerly, kept
+    built = tuple(Concept(oracle_labels(ctx, e, 0), oracle_labels(ctx, oracle_polar(ctx, e, 0), 1))
+                  for e in oracle_next_closure(ctx))
+    assert lat.concepts == built and lat.concepts is lat.concepts and "concepts" in vars(lat)
+    assert lat.top.extent == ctx.objects and lat.bottom == lat.concepts[0]
+
+
+def test_lattices_are_equal_iff_their_concepts_are():
+    """One incidence under two label sets gives unequal lattices with equal
+    masks; a context enumerated twice, or an equal copy of it, gives equal
+    lattices with equal hashes, whether or not their concepts were read."""
+    rng = random.Random(83)
+    ctx = random_context(rng, 7, 5)
+    objects = Context(tuple(f"h{i}" for i in range(7)), ctx.attributes, ctx.incidence_array)
+    attributes = Context(ctx.objects, tuple(f"n{j}" for j in range(5)), ctx.incidence_array)
+    lat = enumerate_concepts(ctx)
+    for other in (objects, attributes):
+        relabelled = enumerate_concepts(other)
+        assert relabelled.extent_masks == lat.extent_masks and relabelled.intent_masks == lat.intent_masks
+        assert relabelled != lat and relabelled.concepts != lat.concepts
+    twice = enumerate_concepts(ctx)
+    copied = enumerate_concepts(Context(ctx.objects, ctx.attributes, ctx.incidence_array))
+    assert twice == lat == copied and hash(twice) == hash(lat) == hash(copied)
+    assert twice.concepts == lat.concepts and twice == lat and hash(twice) == hash(lat)
+    assert lat != lat.concepts and lat != ctx
+    for _ in range(100):  # same labels and shape, incidences drawn apart
+        n, m = rng.randint(0, 3), rng.randint(0, 3)
+        a, b = (enumerate_concepts(random_context(rng, n, m)) for _ in range(2))
+        assert (a == b) == (a.concepts == b.concepts) and (a != b or hash(a) == hash(b))
 
 
 def large_contexts():
