@@ -19,8 +19,9 @@ labelled table with the fields ``x,value``.
 The conjugate against a grid of slopes is ``max_x (k*x - f(x))`` with
 the subtraction taken from the saturating tables, and the reverse
 transform mirrors it.  Conjugating twice gives the largest convex
-minorant representable on the slope grid; a geometric lower hull
-cross-checks it, and the duality identities are checkable reports.
+minorant representable on the slope grid; ``convex_hull_oracle``
+evaluates the samples' lower convex hull directly, with the transforms'
+hull kernel, and the duality identities are checkable reports.
 
 The transforms are push and pull over the pairing M(x, k) = k*x, and
 both run one kernel with the roles of points and slopes swapped: the
@@ -339,19 +340,27 @@ def _brute_transform(points: np.ndarray, values: np.ndarray, queries: np.ndarray
 # that has not paid for itself.
 _PASS_FIXED_COST = 32
 _PASS_POINT_COST = 1 / 32
+# Rounded turns leave samples at most 6 * 2**-53 * max|y| below the float hull
+# (measured on near-collinear inputs); one lower than this shows a lost vertex.
+_HULL_SLACK = 32 * 2.0**-53
 
 
 def _hull_vertices(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Indices of the lower hull's vertices, for points sorted by x.
+    """Indices of the lower hull's vertices, for points sorted by x: floats
+    whose turns stay inside the float range, or Python ints.
 
     Each pass drops, all at once, every point that lies on or above the
     chord of its two neighbours; no hull vertex ever does.  Once a pass
     drops too few points to pay for itself (a long convex run being eaten
     one point per pass from a far vertex), a monotone chain finishes the
-    survivors; it is written out here so that the hull oracle's own chain
-    stays independent of the kernel.
+    survivors.  A float turn rounded to zero can drop a vertex in the same
+    pass as a neighbour only it kept off the hull; a sample left below the
+    hull by more than rounding shows that, and the chain then takes the
+    hull again on the coordinates as exact integers.
     """
     keep = np.arange(len(x))
+    if x.dtype == object:  # on Python ints a pass costs more than the chain steps it saves
+        return _monotone_chain(x, y, keep)
     while len(keep) > 2:
         hx, hy = x[keep], y[keep]
         ax, ay = hx[:-2], hy[:-2]
@@ -359,12 +368,19 @@ def _hull_vertices(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         vertex = turn > 0
         dropped = len(vertex) - int(np.count_nonzero(vertex))
         if not dropped:
-            return keep
+            break
         keep = keep[np.concatenate(([True], vertex, [True]))]
         if dropped < _PASS_FIXED_COST + len(keep) * _PASS_POINT_COST:
+            keep = _monotone_chain(x, y, keep)
             break
-    else:
+    hull = np.interp(x, x[keep], y[keep])
+    if np.isfinite(hull).all() and (hull - y <= _HULL_SLACK * np.abs(y).max()).all():
         return keep
+    return _hull_vertices(_exact_units(x), _exact_units(y))
+
+
+def _monotone_chain(x: np.ndarray, y: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The points of ``keep`` that Andrew's monotone chain keeps as vertices."""
     xs, ys = x[keep].tolist(), y[keep].tolist()
     chain: list[int] = []
     for i, (px, py) in enumerate(zip(xs, ys)):
@@ -466,10 +482,13 @@ def _climb_and_fall(
 def convex_hull_oracle(f: SampledFunction) -> SampledFunction:
     """Lower convex hull of the finite sample points, evaluated on the grid.
 
-    Built geometrically from the epigraph points with a monotone-chain
-    scan, independent of the transforms.  Points valued +inf take no
+    Its vertices come from :func:`_hull_vertices`, the transforms' kernel,
+    and the grid is interpolated between them.  Points valued +inf take no
     part in the hull and stay +inf outside the finite points' span; any
-    -inf sample collapses the hull to -inf everywhere.
+    -inf sample collapses the hull to -inf everywhere.  The name is kept
+    from when its own monotone chain made it an oracle, because the CLI
+    and perfbench's tracer look it up; that chain, exact, now checks it
+    from ``tests/hull_oracle.py``.
     """
     _require_space(f, Space.PRIMAL, "hull input")
     vals = f.values_array
@@ -480,41 +499,43 @@ def convex_hull_oracle(f: SampledFunction) -> SampledFunction:
         return SampledFunction(f.grid, vals, Space.PRIMAL)
     xs = f.grid.as_array[finite]
     ys = vals[finite]
-    hull_x, hull_y = _lower_hull(xs, ys)
-    out = np.full(len(f), np.inf)
+    # each axis is scaled by a power of two to a largest magnitude in
+    # [2**507, 2**508): turns neither overflow nor underflow to a false zero
+    sx, sy = (508 - math.frexp(float(np.abs(c).max()))[1] for c in (xs, ys))
+    px, py = np.ldexp(xs, sx), np.ldexp(ys, sy)
+    if np.array_equal(np.ldexp(px, -sx), xs) and np.array_equal(np.ldexp(py, -sy), ys):
+        vertices = _hull_vertices(px, py)
+    else:  # scaling down rounded off low bits: exact turns instead
+        vertices = _hull_vertices(_exact_units(xs), _exact_units(ys))
+    hx, hy = xs[vertices], py[vertices]
     grid = f.grid.as_array
     span = (grid >= xs[0]) & (grid <= xs[-1])
-    # interpolate where differences cannot overflow, as the chain does
-    ex, ey = _shrink_exponent(xs), _shrink_exponent(ys)
-    scaled = np.interp(np.ldexp(grid[span], -ex), np.ldexp(hull_x, -ex), np.ldexp(hull_y, -ey))
-    out[span] = np.ldexp(scaled, ey)
+    at = grid[span]
+    inner = np.interp(at, hx, hy)
+    # np.interp's slope * (x - x0) + y0 fails where the run or the slope leaves
+    # the normal range; there the rise is shared by the fraction of the run
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        rise, run = np.diff(hy), np.diff(hx)
+        slope = rise / run
+        wild = ~np.isfinite(slope) | (np.abs(slope) < np.finfo(float).tiny) & (rise != 0)
+        edge = np.searchsorted(hx, at, side="right") - 1
+        redo = np.flatnonzero(at != hx[edge])
+        redo = redo[wild[edge[redo]]]
+        x, e = at[redo], edge[redo]
+        x0, x1 = hx[e], hx[e + 1]
+        share = np.where(np.isfinite(run[e]), (x - x0) / run[e], (x / 2 - x0 / 2) / (x1 / 2 - x0 / 2))
+        inner[redo] = hy[e] + share * rise[e]
+    out = np.full(len(f), np.inf)
+    out[span] = np.ldexp(inner, -sy)
     return SampledFunction(f.grid, out, Space.PRIMAL)
 
 
-def _shrink_exponent(coords: np.ndarray) -> int:
-    """The power of two that brings every coordinate to at most 2**509 in
-    magnitude, so that differences and their products stay finite; 0 when
-    they already are."""
-    return max(0, math.frexp(float(np.abs(coords).max()))[1] - 509)
-
-
-def _lower_hull(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Monotone chain over points already sorted by x; keeps the vertices of
-    the lower boundary (counterclockwise turns only).  Turns are taken on the
-    coordinates scaled down by powers of two, so none overflows."""
-    sx = np.ldexp(xs, -_shrink_exponent(xs)).tolist()
-    sy = np.ldexp(ys, -_shrink_exponent(ys)).tolist()
-    chain: list[int] = []
-    for i, (x, y) in enumerate(zip(sx, sy)):
-        while len(chain) >= 2:
-            a, b = chain[-2], chain[-1]
-            cross = (sx[b] - sx[a]) * (y - sy[a]) - (sy[b] - sy[a]) * (x - sx[a])
-            if cross <= 0:
-                chain.pop()
-            else:
-                break
-        chain.append(i)
-    return xs[chain], ys[chain]
+def _exact_units(coords: np.ndarray) -> np.ndarray:
+    """Finite floats as Python ints, in units of the largest power of two
+    that divides them all."""
+    units = [n << (1075 - d.bit_length()) for n, d in map(float.as_integer_ratio, coords.tolist())]
+    low = min(((u & -u).bit_length() for u in units if u), default=1) - 1
+    return np.array([u >> low for u in units], dtype=object)
 
 
 def default_dual_grid(f: SampledFunction) -> Grid:

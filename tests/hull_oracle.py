@@ -1,0 +1,57 @@
+"""An exact lower hull, the test oracle for ``convex_hull_oracle`` and for
+the envelope that biconjugation computes.
+
+Every float is a dyadic rational, so on ``fractions.Fraction`` coordinates
+the monotone chain (Andrew 1979) takes every turn exactly and needs no
+scaling, and each hull value is interpolated exactly and rounded once.
+It follows ``convex_hull_oracle``'s tag rules: any -inf sample makes the
+hull -inf everywhere, +inf samples take no part, and the grid stays +inf
+outside the span of the finite samples.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left
+from fractions import Fraction
+
+import numpy as np
+
+
+def exact_lower_hull(xs, ys) -> list[int]:
+    """Indices of the lower hull's vertices, for points sorted by x, with
+    collinear points dropped."""
+    px, py = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    chain: list[int] = []
+    for i in range(len(px)):
+        while len(chain) >= 2:
+            a, b = chain[-2], chain[-1]
+            if (px[b] - px[a]) * (py[i] - py[a]) - (py[b] - py[a]) * (px[i] - px[a]) > 0:
+                break
+            chain.pop()
+        chain.append(i)
+    return chain
+
+
+def exact_hull(f) -> np.ndarray:
+    """The lower convex hull of a sampled function's finite samples on its
+    grid, each value the exact one rounded once to the nearest float."""
+    grid, vals = f.grid.as_array, f.values_array
+    if (vals == -np.inf).any():
+        return np.full(len(vals), -np.inf)
+    finite = np.isfinite(vals)
+    out = np.full(len(vals), np.inf)
+    if not finite.any():
+        return out
+    chain = exact_lower_hull(grid[finite], vals[finite])
+    hx = [Fraction(x) for x in grid[finite][chain].tolist()]
+    hy = [Fraction(y) for y in vals[finite][chain].tolist()]
+    for i, x in enumerate(grid.tolist()):
+        q = Fraction(x)
+        if not hx[0] <= q <= hx[-1]:
+            continue
+        j = bisect_left(hx, q)
+        if hx[j] == q:
+            out[i] = float(hy[j])
+        else:
+            out[i] = float(hy[j - 1] + (hy[j] - hy[j - 1]) * (q - hx[j - 1]) / (hx[j] - hx[j - 1]))
+    return out

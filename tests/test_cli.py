@@ -303,6 +303,23 @@ def test_hull_near_the_float_range_is_silent(tmp_path, capsys):
     assert abs(mid - (-1e308 * (2 / 3) + 1.7e308 / 3)) <= 1e-12 * 1e307
 
 
+def test_hull_keeps_vertices_whose_turns_underflow(tmp_path, capsys):
+    # the turns of these points underflow to 0 unless the coordinates are
+    # scaled up first, which once put the hull at 0.0 above the middle sample
+    for t in (1e-200, 5e-324):
+        path = write(tmp_path, "f.csv", f"x,value\n{-t!r},0.0\n0.0,{-t!r}\n{t!r},0.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["hull", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        hull = parse_function_csv(captured.out)
+        assert hull.grid.points == (-t, 0.0, t)
+        assert hull.values_array.tolist() == [0.0, -t, 0.0]
+        samples = parse_function_csv(Path(path).read_text()).values_array.tolist()
+        assert all(h <= v for h, v in zip(hull.values_array.tolist(), samples))
+
+
 def test_dual_auto_beyond_the_float_range_names_the_file(tmp_path, capsys):
     path = write(tmp_path, "q.csv", "x,value\n0.0,-1e308\n1e-10,1e308\n1.0,0.0\n")
     with warnings.catch_warnings():

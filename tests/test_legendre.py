@@ -7,6 +7,7 @@ import math
 import pickle
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,8 @@ from nucleus.legendre import (
     render_function_csv,
     reverse_conjugate,
 )
+
+from hull_oracle import exact_hull
 
 fin = ext.finite
 
@@ -361,6 +364,18 @@ def test_convex_hull_oracle_infinities():
     assert convex_hull_oracle(lonely).values == (POS_INF, fin(5.0), POS_INF)
 
 
+def test_convex_hull_oracle_keeps_vertices_whose_turns_underflow():
+    # products of differences of 1e-200 or 5e-324 underflow to 0 unless the
+    # coordinates are scaled up first; the middle point is then a vertex
+    for t in (1e-200, 5e-324):
+        f = primal([-t, 0.0, t], [0.0, -t, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hull = convex_hull_oracle(f).values_array
+        assert hull.tolist() == [0.0, -t, 0.0]
+        assert np.all(hull <= f.values_array)
+
+
 def test_convex_hull_oracle_matches_chords_randomly():
     rng = random.Random(202)
     for _ in range(40):
@@ -393,8 +408,7 @@ def test_biconjugate_with_quotient_grid_equals_hull():
         grid = Grid(tuple(x / 2.0 for x in xs))
         f = random_lattice_function(rng, grid)
         envelope = biconjugate(f, default_dual_grid(f))
-        hull = convex_hull_oracle(f)
-        assert np.allclose(envelope.values_array, hull.values_array, atol=1e-9)
+        assert np.allclose(envelope.values_array, exact_hull(f), atol=1e-9)
 
 
 def test_preorder_refinement():
