@@ -29,16 +29,19 @@ linear-time Legendre transform (Lucet, Numer. Algorithms 16, 1997).  It
 applies the tag rules, takes the lower hull of the finite samples in
 whole-array passes, binary-searches each slope among the hull's edge
 slopes and evaluates ``k*x - f(x)`` at the vertex found, its two
-neighbours and the two end vertices.  N points against K slopes cost
-O((N + K) log N) time and O(N + K) memory, against O(N*K) for both in
-the brute force of :func:`nucleus.core.adjoint_arrays` on the whole
-pairing.  Infinite tags match the brute force exactly; a finite value
-that the brute force attains only at a near-tie may differ from it by
-rounding, within ``1e-12`` times the scale ``max|k| * max|x| +
-max|f(x)|`` of the inputs (``TRANSFORM_RTOL``).  Inputs where
-``max|k| * max|x|`` or the spread of the finite values times the spread
-of their abscissae leaves the float range go to the brute force, in
-blocks, and come out bit-identical to it.
+neighbours and the two end vertices.  The hull kernel scales each axis
+by a power of two into [2**507, 2**508), and takes exact turns where
+that rounds off a low bit or a sample lies below its float hull by more
+than rounding.  N points against K slopes cost O((N + K) log N) time and
+O(N + K) memory, against O(N*K) for both in the brute force of
+:func:`nucleus.core.adjoint_arrays` on the whole pairing.  Infinite tags
+match the brute force exactly; a finite value that the brute force
+attains only at a near-tie may differ from it by rounding, within
+``1e-12`` times the scale ``max|k| * max|x| + max|f(x)|`` of the inputs
+(``TRANSFORM_RTOL``).  Inputs where ``max|k| * max|x|`` or the spread of
+the finite values times the spread of their abscissae leaves the float
+range go to the brute force, in blocks, and come out bit-identical to
+it.
 """
 
 from __future__ import annotations
@@ -293,8 +296,8 @@ def _transform(points: np.ndarray, values: np.ndarray, queries: np.ndarray) -> n
     px, pv = points[finite], values[finite]
     spread_x = float(px[-1]) - float(px[0]) if len(px) else 0.0
     spread_v = float(pv.max()) - float(pv.min()) if len(pv) else 0.0
-    # Python floats overflow to inf without a warning; the hull's turns stay
-    # below 2 * max(spread_x, 1) * max(spread_v, 1)
+    # Python floats overflow to inf without a warning; the edges' slopes
+    # below are quotients of differences that this keeps finite
     if not (reach < math.inf and max(spread_x, 1.0) * max(spread_v, 1.0) < 2.0**1021):
         return _brute_transform(points, values, queries)
     # every product q*p is finite from here on, so q*p - (-inf) = +inf
@@ -302,9 +305,7 @@ def _transform(points: np.ndarray, values: np.ndarray, queries: np.ndarray) -> n
         return np.full(len(queries), np.inf)
     if not len(px):
         return np.full(len(queries), -np.inf)
-    # a spread below 1 is scaled up by a power of two, so that products of
-    # small differences do not underflow to a false collinearity
-    vertices = _hull_vertices(np.ldexp(px, _unit_exponent(spread_x)), np.ldexp(pv, _unit_exponent(spread_v)))
+    vertices = _hull_vertices(px, pv)
     hx, hv = px[vertices], pv[vertices]
     with np.errstate(over="ignore"):
         edges = np.maximum.accumulate(np.diff(hv) / np.diff(hx))
@@ -315,11 +316,6 @@ def _transform(points: np.ndarray, values: np.ndarray, queries: np.ndarray) -> n
     for at in (np.maximum(found - 1, 0), found, np.minimum(found + 1, last), 0, last):
         np.maximum(out, ext.sub_arrays(queries * hx[at], hv[at]), out=out)
     return out
-
-
-def _unit_exponent(spread: float) -> int:
-    """The power of two that brings a spread in (0, 1) into [0.5, 1); 0 otherwise."""
-    return -math.frexp(spread)[1] if 0 < spread < 1 else 0
 
 
 def _brute_transform(points: np.ndarray, values: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -346,37 +342,43 @@ _HULL_SLACK = 32 * 2.0**-53
 
 
 def _hull_vertices(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Indices of the lower hull's vertices, for points sorted by x: floats
-    whose turns stay inside the float range, or Python ints.
+    """Indices of the lower hull's vertices, for any finite floats sorted by x.
 
-    Each pass drops, all at once, every point that lies on or above the
-    chord of its two neighbours; no hull vertex ever does.  Once a pass
-    drops too few points to pay for itself (a long convex run being eaten
-    one point per pass from a far vertex), a monotone chain finishes the
-    survivors.  A float turn rounded to zero can drop a vertex in the same
-    pass as a neighbour only it kept off the hull; a sample left below the
-    hull by more than rounding shows that, and the chain then takes the
-    hull again on the coordinates as exact integers.
+    Each axis is scaled by :func:`_scale_exponent`, so that turns neither
+    overflow nor underflow to a false zero.  Each pass drops, all at once,
+    every point on or above the chord of its two neighbours; no hull vertex
+    ever does.  Once a pass drops too few points to pay for itself (a long
+    convex run eaten one point per pass from a far vertex), a monotone chain
+    finishes the survivors.  A turn rounded to zero can drop a vertex in the
+    same pass as a neighbour only it kept off the hull, which leaves a sample
+    below the hull by more than rounding.  There, and where scaling rounds
+    off a low bit, the chain takes the hull on exact integer coordinates.
     """
+    ex, ey = _scale_exponent(x), _scale_exponent(y)
+    px, py = np.ldexp(x, ex), np.ldexp(y, ey)
     keep = np.arange(len(x))
-    if x.dtype == object:  # on Python ints a pass costs more than the chain steps it saves
-        return _monotone_chain(x, y, keep)
-    while len(keep) > 2:
-        hx, hy = x[keep], y[keep]
-        ax, ay = hx[:-2], hy[:-2]
-        turn = (hx[1:-1] - ax) * (hy[2:] - ay) - (hy[1:-1] - ay) * (hx[2:] - ax)
-        vertex = turn > 0
-        dropped = len(vertex) - int(np.count_nonzero(vertex))
-        if not dropped:
-            break
-        keep = keep[np.concatenate(([True], vertex, [True]))]
-        if dropped < _PASS_FIXED_COST + len(keep) * _PASS_POINT_COST:
-            keep = _monotone_chain(x, y, keep)
-            break
-    hull = np.interp(x, x[keep], y[keep])
-    if np.isfinite(hull).all() and (hull - y <= _HULL_SLACK * np.abs(y).max()).all():
-        return keep
-    return _hull_vertices(_exact_units(x), _exact_units(y))
+    if np.array_equal(np.ldexp(px, -ex), x) and np.array_equal(np.ldexp(py, -ey), y):
+        while len(keep) > 2:
+            hx, hy = px[keep], py[keep]
+            ax, ay = hx[:-2], hy[:-2]
+            turn = (hx[1:-1] - ax) * (hy[2:] - ay) - (hy[1:-1] - ay) * (hx[2:] - ax)
+            vertex = turn > 0
+            dropped = len(vertex) - int(np.count_nonzero(vertex))
+            if not dropped:
+                break
+            keep = keep[np.concatenate(([True], vertex, [True]))]
+            if dropped < _PASS_FIXED_COST + len(keep) * _PASS_POINT_COST:
+                keep = _monotone_chain(px, py, keep)
+                break
+        hull = np.interp(px, px[keep], py[keep])
+        if np.isfinite(hull).all() and (hull - py <= _HULL_SLACK * np.abs(py).max()).all():
+            return keep
+    return _monotone_chain(_exact_units(x), _exact_units(y), np.arange(len(x)))
+
+
+def _scale_exponent(coords: np.ndarray) -> int:
+    """The power of two that brings the largest |coordinate| into [2**507, 2**508)."""
+    return 508 - math.frexp(float(np.abs(coords).max()))[1]
 
 
 def _monotone_chain(x: np.ndarray, y: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -483,12 +485,12 @@ def convex_hull_oracle(f: SampledFunction) -> SampledFunction:
     """Lower convex hull of the finite sample points, evaluated on the grid.
 
     Its vertices come from :func:`_hull_vertices`, the transforms' kernel,
-    and the grid is interpolated between them.  Points valued +inf take no
-    part in the hull and stay +inf outside the finite points' span; any
-    -inf sample collapses the hull to -inf everywhere.  The name is kept
-    from when its own monotone chain made it an oracle, because the CLI
-    and perfbench's tracer look it up; that chain, exact, now checks it
-    from ``tests/hull_oracle.py``.
+    which scales the samples itself, and the grid is interpolated between
+    them.  Points valued +inf take no part in the hull and stay +inf
+    outside the finite points' span; any -inf sample collapses the hull to
+    -inf everywhere.  The name, which the CLI and perfbench's tracer look
+    up, is kept from when its own monotone chain made it an oracle; that
+    chain, exact, now checks it from ``tests/hull_oracle.py``.
     """
     _require_space(f, Space.PRIMAL, "hull input")
     vals = f.values_array
@@ -499,15 +501,9 @@ def convex_hull_oracle(f: SampledFunction) -> SampledFunction:
         return SampledFunction(f.grid, vals, Space.PRIMAL)
     xs = f.grid.as_array[finite]
     ys = vals[finite]
-    # each axis is scaled by a power of two to a largest magnitude in
-    # [2**507, 2**508): turns neither overflow nor underflow to a false zero
-    sx, sy = (508 - math.frexp(float(np.abs(c).max()))[1] for c in (xs, ys))
-    px, py = np.ldexp(xs, sx), np.ldexp(ys, sy)
-    if np.array_equal(np.ldexp(px, -sx), xs) and np.array_equal(np.ldexp(py, -sy), ys):
-        vertices = _hull_vertices(px, py)
-    else:  # scaling down rounded off low bits: exact turns instead
-        vertices = _hull_vertices(_exact_units(xs), _exact_units(ys))
-    hx, hy = xs[vertices], py[vertices]
+    sy = _scale_exponent(ys)  # values on the kernel's scale: no rise overflows
+    vertices = _hull_vertices(xs, ys)
+    hx, hy = xs[vertices], np.ldexp(ys[vertices], sy)
     grid = f.grid.as_array
     span = (grid >= xs[0]) & (grid <= xs[-1])
     at = grid[span]

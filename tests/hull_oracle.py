@@ -1,12 +1,13 @@
 """An exact lower hull, the test oracle for ``convex_hull_oracle`` and for
-the envelope that biconjugation computes.
+the envelope that biconjugation computes, and an exact slope transform.
 
 Every float is a dyadic rational, so on ``fractions.Fraction`` coordinates
 the monotone chain (Andrew 1979) takes every turn exactly and needs no
 scaling, and each hull value is interpolated exactly and rounded once.
 It follows ``convex_hull_oracle``'s tag rules: any -inf sample makes the
 hull -inf everywhere, +inf samples take no part, and the grid stays +inf
-outside the span of the finite samples.
+outside the span of the finite samples.  The transform takes each
+``k*x - f(x)`` exactly, so a product never overflows to a tag.
 """
 
 from __future__ import annotations
@@ -55,3 +56,20 @@ def exact_hull(f) -> np.ndarray:
         else:
             out[i] = float(hy[j - 1] + (hy[j] - hy[j - 1]) * (q - hx[j - 1]) / (hx[j] - hx[j - 1]))
     return out
+
+
+def exact_transform(points, values, queries) -> np.ndarray:
+    """At each query q, max over i of q*points[i] - values[i], by the tag
+    rules of the extended reals' subtraction on finite products: any -inf
+    value makes every result +inf, +inf values take no part, and with no
+    finite value left the result is -inf.  Each finite maximum is exact
+    and rounded once to the nearest float (OverflowError beyond the float
+    range)."""
+    vals = np.asarray(values, dtype=float)
+    if (vals == -np.inf).any():
+        return np.full(len(queries), np.inf)
+    finite = np.isfinite(vals)
+    pv = [(Fraction(p), Fraction(v)) for p, v in zip(np.asarray(points)[finite].tolist(), vals[finite].tolist())]
+    if not pv:
+        return np.full(len(queries), -np.inf)
+    return np.array([float(max(Fraction(q) * p - v for p, v in pv)) for q in np.asarray(queries).tolist()])

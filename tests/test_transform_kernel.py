@@ -32,6 +32,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nucleus import extreal as ext
+from nucleus import legendre
 from nucleus.cli import run
 from nucleus.core import EXT_REAL, LimitKind, adjoint_arrays, pointwise_meet, residuate_each
 from nucleus.legendre import (
@@ -50,7 +51,7 @@ from nucleus.legendre import (
     reverse_conjugate,
 )
 
-from hull_oracle import exact_hull
+from hull_oracle import exact_hull, exact_transform
 
 EDGE = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7e308, -1.7e308]
 LATTICE = [i / 4 for i in range(-40, 41)]
@@ -249,6 +250,20 @@ def primal(xs, vals):
     return SampledFunction(Grid(xs), vals, Space.PRIMAL)
 
 
+def assert_hull_verb_exact(f: SampledFunction, path: str) -> None:
+    """The ``hull`` verb on f, written to path, gives the exact hull within
+    HULL_RTOL times the largest finite |f(x)|, or 5e-324."""
+    Path(path).write_text(render_function_csv(f))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["hull", path]) == 0
+    got = parse_function_csv(out.getvalue())
+    assert got.grid == f.grid
+    finite = f.values_array[np.isfinite(f.values_array)]
+    scale = float(np.abs(finite).max()) if len(finite) else 0.0
+    assert_within(got.values_array, exact_hull(f), max(HULL_RTOL * scale, 5e-324))
+
+
 def test_hull_verb_matches_the_exact_hull():
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "f.csv")
@@ -262,18 +277,82 @@ def test_hull_verb_matches_the_exact_hull():
         @example(primal([-1e-200, 0.0, 1e-200], [0.0, -1e-200, 0.0]))
         @example(primal([-5e-324, 0.0, 1.7e308], [-1.75, -10.0, -9.0]))
         @example(primal([-5e-324, 0.0, 5e-324, 5.5, 6.5, 1.7e308], [6.5, 0.0, 0.0, -27.875, 0.0, -2.75]))
+        # subnormal and huge abscissae together, which no scaling of the x axis
+        # keeps exact: a hull that scaled each axis only where that is lossless
+        # was 0.63, 0.83 and 0.58 times max|f| off on these
+        @example(primal([-1.7e308, -4.25, -5e-324, 5.0, 1e308], [-7.75, -7.25, -5.75, -2.5, 0.75]))
+        @example(primal([-1e308, -9.0, -5e-324, 1e-200, 3.5, 1e308], [-10.0, -4.75, -9.75, -5e-324, 8.75, 7.0]))
+        @example(
+            primal(
+                [-1.7e308, -9.25, -6.75, -6.25, -5.0, -2.25, -2.0, -1.0, 0.0, 2.75],
+                [1.5, 7.0, -4.75, -2.5, -4.75, 1e-200, -2.75, -1.7e308, -0.75, 1e308],
+            )
+        )
         def check(f):
-            Path(path).write_text(render_function_csv(f))
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                assert run(["hull", path]) == 0
-            got = parse_function_csv(out.getvalue())
-            assert got.grid == f.grid
-            finite = f.values_array[np.isfinite(f.values_array)]
-            scale = float(np.abs(finite).max()) if len(finite) else 0.0
-            assert_within(got.values_array, exact_hull(f), max(HULL_RTOL * scale, 5e-324))
+            assert_hull_verb_exact(f, path)
 
         check()
+
+
+# The sweep's pools: the edge and lattice pools, and magnitudes between them.
+SWEEP_POOLS = (EDGE, LATTICE, [1e-200, -1e-200, 1e6, -1e6, 1e-6, 3e150, -2.5e200])
+# 20,000 inputs measured the hull verb at most 2.7e-16 * max|f| off the
+# exact hull, and the transforms at most 1.9e-16 times their scale off the
+# exact transform, or one step of 5e-324 where a product is subnormal.
+SWEEP_INPUTS = 1000
+
+
+def sweep_function(rng: random.Random, space: Space) -> SampledFunction:
+    """1-12 distinct abscissae, each drawn from one of the sweep's pools; a
+    value is +inf or -inf one time in five, a pool coordinate otherwise."""
+    xs = sorted({rng.choice(rng.choice(SWEEP_POOLS)) for _ in range(rng.randint(1, 12))})
+    vals = [rng.choice([math.inf, -math.inf]) if rng.random() < 0.2 else rng.choice(rng.choice(SWEEP_POOLS)) for _ in xs]
+    return SampledFunction(Grid(xs), vals, space)
+
+
+def test_sweep_against_the_exact_hull_and_transform():
+    # The transforms are compared only where the kernel serves them, and
+    # where the scale stays below 2**1000, so that no product rounds to a
+    # tag; within TRANSFORM_RTOL times the scale, or 5e-324.
+    rng = random.Random(22)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "f.csv")
+        for _ in range(SWEEP_INPUTS):
+            f, g = sweep_function(rng, Space.PRIMAL), sweep_function(rng, Space.DUAL)
+            assert_hull_verb_exact(f, path)
+            for h, queries, got in ((f, g.grid, conjugate(f, g.grid)), (g, f.grid, reverse_conjugate(g, f.grid))):
+                points, values, qs = h.grid.as_array, h.values_array, queries.as_array
+                size = scale(points, values, qs)
+                if not handed_to_brute_force(points, values, qs) and size < 2.0**1000:
+                    want = exact_transform(points, values, qs)
+                    assert_within(got.values_array, want, max(TRANSFORM_RTOL * size, 5e-324))
+
+
+def test_the_bench_shapes_stay_on_the_vectorised_path(monkeypatch):
+    # The exact retake runs the chain on Python ints, orders of magnitude
+    # slower; none of these shapes needs it.  A 2,720-row regular grid with
+    # the bench's slope grid, the auto envelope of a 175-row irregular grid,
+    # lattice lines moved by 1e-15, and the subnormal three-point function.
+    def refuse(coords):
+        raise AssertionError("exact retake")
+
+    monkeypatch.setattr(legendre, "_exact_units", refuse)
+    x = -5.0 + np.arange(2720) * (10.0 / 2719)
+    cases = [(primal(x, 0.4 * x**2 + np.cos(2.5 * x)), Grid.from_range(-3.225, 3.225, 0.05))]
+    rng = np.random.default_rng(175)
+    x = np.sort(rng.choice(8001, size=175, replace=False)) * 0.00125 - 5.0
+    auto = [primal(x, 0.6 * x**2 + 1.2 * np.sin(2.5 * x + 1.0) + rng.normal(0.0, 0.1, 175))]
+    lines = random.Random(15)
+    for _ in range(20):
+        xs = sorted(lines.sample(LATTICE, lines.randint(3, 40)))
+        slope, icept = lines.choice(LATTICE), lines.choice(LATTICE)
+        line = [slope * p + icept for p in xs]
+        auto.append(primal(xs, [v + lines.randint(-4, 4) * 1e-15 * (1 + abs(v)) for v in line]))
+    auto.append(primal([-5e-324, 0.0, 5e-324], [0.0, -5e-324, 0.0]))
+    for f, dual in cases + [(f, default_dual_grid(f)) for f in auto]:
+        conjugate(f, dual)
+        biconjugate(f, dual)
+        convex_hull_oracle(f)
 
 
 def test_a_vertex_beside_a_rounded_turn_is_kept():
