@@ -10,7 +10,7 @@ residuation is the subtraction table from :mod:`nucleus.extreal`).
 A profunctor, a finite matrix of quantale values between two object
 sets, induces the adjoint pair ``push``/``pull`` between PRE and OPCO
 vectors: one kernel, :func:`adjoint_arrays`, which :mod:`nucleus.legendre`
-also runs on the pairing k*x.  Their composites are closure operators;
+falls back to on the pairing k*x.  Their composites are closure operators;
 limits and colimits of fixed pairs are computed pointwise and re-closed
 on the side the pointwise formula can leave.  Profunctors and vectors
 hold one encoded array each; the scalar views ``entries`` and ``values``

@@ -20,8 +20,9 @@ The conjugate against a grid of slopes is ``max_x (k*x - f(x))`` with
 the subtraction taken from the saturating tables, and the reverse
 transform mirrors it.  Conjugating twice gives the largest convex
 minorant representable on the slope grid; ``convex_hull_oracle``
-evaluates the samples' lower convex hull directly, with the transforms'
-hull kernel, and the duality identities are checkable reports.
+evaluates the samples' lower convex hull on the transforms' hull kernel,
+by the share of each edge's run; the duality identities are checkable
+reports.
 
 The transforms are push and pull over the pairing M(x, k) = k*x, and
 both run one kernel with the roles of points and slopes swapped: the
@@ -370,8 +371,7 @@ def _hull_vertices(x: np.ndarray, y: np.ndarray) -> np.ndarray:
             if dropped < _PASS_FIXED_COST + len(keep) * _PASS_POINT_COST:
                 keep = _monotone_chain(px, py, keep)
                 break
-        hull = np.interp(px, px[keep], py[keep])
-        if np.isfinite(hull).all() and (hull - py <= _HULL_SLACK * np.abs(py).max()).all():
+        if (_on_polyline(px[keep], py[keep], px) - py <= _HULL_SLACK * np.abs(py).max()).all():
             return keep
     return _monotone_chain(_exact_units(x), _exact_units(y), np.arange(len(x)))
 
@@ -379,6 +379,22 @@ def _hull_vertices(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _scale_exponent(coords: np.ndarray) -> int:
     """The power of two that brings the largest |coordinate| into [2**507, 2**508)."""
     return 508 - math.frexp(float(np.abs(coords).max()))[1]
+
+
+def _on_polyline(hx: np.ndarray, hy: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The polyline through the vertices (hx, hy) at increasing abscissae in
+    [hx[0], hx[-1]]: on each edge, the left vertex's value plus the rise times
+    the share of the run, (x - x0) / run, with a run or a rise that overflows
+    taken on halves.  At a vertex the share is 0: the value is its own."""
+    # each vertex's edge takes the abscissae from it up to the next vertex
+    counts = np.diff(np.searchsorted(at, hx), append=len(at))
+    ends = np.array([hx, hy])
+    nxt = np.append(ends[:, 1:], [[np.inf], [hy[-1]]], axis=1)  # a flat edge after the last vertex
+    with np.errstate(over="ignore"):  # an edge's axis whose run or rise overflows is halved
+        half = np.where(np.isfinite(nxt - ends), 1.0, 0.5)
+    lo = ends * half
+    c, v, x0, y0, run, rise = np.repeat(np.concatenate([half, lo, nxt * half - lo]), counts, axis=1)
+    return (y0 + (at * c - x0) / run * rise) / v
 
 
 def _monotone_chain(x: np.ndarray, y: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -485,12 +501,12 @@ def convex_hull_oracle(f: SampledFunction) -> SampledFunction:
     """Lower convex hull of the finite sample points, evaluated on the grid.
 
     Its vertices come from :func:`_hull_vertices`, the transforms' kernel,
-    which scales the samples itself, and the grid is interpolated between
-    them.  Points valued +inf take no part in the hull and stay +inf
-    outside the finite points' span; any -inf sample collapses the hull to
-    -inf everywhere.  The name, which the CLI and perfbench's tracer look
-    up, is kept from when its own monotone chain made it an oracle; that
-    chain, exact, now checks it from ``tests/hull_oracle.py``.
+    which scales the samples itself, and :func:`_on_polyline` reads the
+    grid on them, each vertex as its own sample.  Points valued +inf take no
+    part in the hull and stay +inf outside the finite points' span; any -inf
+    sample collapses the hull to -inf everywhere.  The name, which the CLI
+    and perfbench's tracer look up, is kept from when its own monotone chain
+    made it an oracle; ``tests/hull_oracle.py`` now holds that chain, exact.
     """
     _require_space(f, Space.PRIMAL, "hull input")
     vals = f.values_array
@@ -499,30 +515,12 @@ def convex_hull_oracle(f: SampledFunction) -> SampledFunction:
     finite = np.isfinite(vals)
     if not finite.any():
         return SampledFunction(f.grid, vals, Space.PRIMAL)
-    xs = f.grid.as_array[finite]
-    ys = vals[finite]
-    sy = _scale_exponent(ys)  # values on the kernel's scale: no rise overflows
-    vertices = _hull_vertices(xs, ys)
-    hx, hy = xs[vertices], np.ldexp(ys[vertices], sy)
     grid = f.grid.as_array
+    xs, ys = grid[finite], vals[finite]
+    vertices = _hull_vertices(xs, ys)
     span = (grid >= xs[0]) & (grid <= xs[-1])
-    at = grid[span]
-    inner = np.interp(at, hx, hy)
-    # np.interp's slope * (x - x0) + y0 fails where the run or the slope leaves
-    # the normal range; there the rise is shared by the fraction of the run
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        rise, run = np.diff(hy), np.diff(hx)
-        slope = rise / run
-        wild = ~np.isfinite(slope) | (np.abs(slope) < np.finfo(float).tiny) & (rise != 0)
-        edge = np.searchsorted(hx, at, side="right") - 1
-        redo = np.flatnonzero(at != hx[edge])
-        redo = redo[wild[edge[redo]]]
-        x, e = at[redo], edge[redo]
-        x0, x1 = hx[e], hx[e + 1]
-        share = np.where(np.isfinite(run[e]), (x - x0) / run[e], (x / 2 - x0 / 2) / (x1 / 2 - x0 / 2))
-        inner[redo] = hy[e] + share * rise[e]
     out = np.full(len(f), np.inf)
-    out[span] = np.ldexp(inner, -sy)
+    out[span] = _on_polyline(xs[vertices], ys[vertices], grid[span])
     return SampledFunction(f.grid, out, Space.PRIMAL)
 
 

@@ -14,7 +14,8 @@ family into the pointwise supremum of the conjugates, within the same
 bound, on inputs that stay inside the float range.  The ``hull`` verb
 must give the exact hull's infinite tags, and finite values within
 ``HULL_RTOL`` times the largest finite |f(x)|, or the spacing of floats
-below the normal range where that is larger.
+below the normal range where that is larger; each vertex of the hull
+keeps its own sample, bit for bit.
 """
 
 from __future__ import annotations
@@ -367,3 +368,37 @@ def test_a_vertex_beside_a_rounded_turn_is_kept():
     dual = Grid((-5.0,))
     assert conjugate(f, dual).values_array.tolist() == brute(f.grid.as_array, f.values_array, dual.as_array).tolist()
     assert conjugate(f, dual).values_array.tolist() == [2.0]
+
+
+def test_a_steep_short_edge_stays_on_the_float_path(monkeypatch):
+    # The edge from (0, 1) to (1e-320, 0) is so steep that its slope
+    # overflows on the kernel's scaled coordinates, and the sample at 5e-321
+    # lies above it.  Its share of the run stays in [0, 1], so the kernel's
+    # check of its float hull holds and nothing is retaken on exact ints.
+    calls = []
+    exact_units = legendre._exact_units
+    monkeypatch.setattr(legendre, "_exact_units", lambda coords: calls.append(len(coords)) or exact_units(coords))
+    run = np.arange(1.0, 51.0)
+    f = primal(np.concatenate([[0.0, 5e-321, 1e-320], run]), np.concatenate([[1.0, 1.0, 0.0], (run - 26.5) ** 2 / 53]))
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_hull_verb_exact(f, str(Path(tmp) / "f.csv"))
+    assert calls == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(sampled(Space.PRIMAL), near_lines()))
+# the first vertex and the last, each a tiny value at the end of a rise of
+# about 1, which the rise times a share of 1 would round off; a lone finite
+# sample; and a tiny vertex between values near 1e308
+@example(primal([0.0, 1.0, 2.0], [1e-20, 1.0, 3.0]))
+@example(primal([0.0, 1.0, 2.0], [3.0, 1.0, 1e-20]))
+@example(primal([-1.0, 0.0, 1.0], [math.inf, 1e-300, math.inf]))
+@example(primal([0.0, 1.0, 2.0], [1e308, 5e-324, 1.7e308]))
+def test_hull_vertices_keep_their_own_samples(f):
+    vals = f.values_array
+    finite = np.flatnonzero(np.isfinite(vals))
+    if (vals == -np.inf).any() or not len(finite):
+        return
+    vertices = finite[legendre._hull_vertices(f.grid.as_array[finite], vals[finite])]
+    got = convex_hull_oracle(f).values_array[vertices]
+    assert np.array_equal(got.view(np.uint64), vals[vertices].view(np.uint64))
