@@ -144,8 +144,9 @@ def _distance(args: argparse.Namespace, f1: SampledFunction, f2: SampledFunction
 def _check(args: argparse.Namespace, f1: SampledFunction, f2: SampledFunction) -> tuple[str, int]:
     tol = ext._check_tol(args.tol)  # refused before any --dual is read
     if args.kind == "adjunction":
-        dual = _parse_dual_spec(args.dual, [(args.first, f1)]) if args.dual else None
-        report = check_lf_adjunction(f1, _as_dual(f2), dual=dual, tol=tol)
+        if args.dual is not None:
+            raise ValueError(f"check adjunction takes no --dual: its slopes are the grid of {args.second}")
+        report = check_lf_adjunction(f1, _as_dual(f2), tol=tol)
     else:
         if not args.dual:
             raise ValueError(f"check {args.kind} needs --dual")
@@ -195,7 +196,7 @@ _VERBS = {
     "check": _Verb(
         "verify a duality identity; exit 0 iff it holds", _check, ("first", "second"), _FUNCTION, (
             ("kind", {"choices": ["adjunction", "short", "toland-singer"]}),
-            ("--dual", {"help": _DUAL_HELP}),
+            ("--dual", {"help": f"{_DUAL_HELP}; short and toland-singer only"}),
             ("--tol", {"type": _flag_real, "default": DEFAULT_TOL, "help": "tolerance on finite values"}),
             ("--json", {"action": "store_true", "help": "emit the report as JSON"}),
         )),
@@ -208,8 +209,8 @@ _VERBS = {
         lambda args, ctx: export_dot(enumerate_concepts(ctx)), ("input",), _parse_context),
     "compose": _Verb(
         "min-plus product of two labelled matrices",
-        lambda args, a, b: render_matrix_csv(a[0], b[1], compose_profunctors(a[2], b[2])),
-        ("first", "second"), lambda text: parse_matrix_csv(text)),
+        lambda args, a, b: render_matrix_csv(compose_profunctors(a, b)),
+        ("first", "second"), lambda text: parse_matrix_csv(text)[2]),
     "plotdata": _Verb("tab-separated finite samples for plotting", _plotdata, ("input",), _FUNCTION),
 }
 

@@ -350,22 +350,16 @@ def is_fixed(profunctor: Profunctor, vector: PresheafVector, tol: float | None =
 
 
 def hom_distance(f1: PresheafVector, f2: PresheafVector):
-    """Enriched hom between two vectors on the same side.
+    """Enriched hom between two vectors of one family (side, quantale,
+    length and objects, as the pointwise folds check them).
 
     PRE side: meet_x [F1(x), F2(x)], the maximal climb from F1 to F2
     over the extended reals, subset inclusion over truth.  OPCO side is
     the reverse, the maximal fall.
     """
-    if f1.side is not f2.side:
-        raise ValueError("hom_distance needs two vectors on the same side")
-    if len(f1) != len(f2):
-        raise SizeMismatchError(f1.mismatch or f"vector lengths differ: {len(f1)} vs {len(f2)}")
-    _same_objects(f1.objects, f2.objects, f1.mismatch)
-    if f1.quantale is not f2.quantale:
-        raise ValueError("vectors use different quantales")
-    q = f1.quantale
-    b, c = (f1, f2) if f1.side is Side.PRE else (f2, f1)
-    return q.decode(q.meet.reduce(q.residuate(b.values_array, c.values_array), keepdims=True))[0]
+    side, q, _, (b, c) = _family((f1, f2))
+    b, c = (b, c) if side is Side.PRE else (c, b)
+    return q.decode(q.meet.reduce(q.residuate(b, c), keepdims=True))[0]
 
 
 def adjunction_gap(profunctor: Profunctor, pre: PresheafVector, opco: PresheafVector):
@@ -397,31 +391,32 @@ def compose_profunctors(first: Profunctor, second: Profunctor) -> Profunctor:
     return Profunctor(out, q, first.domain, second.codomain)
 
 
-def _stack_family(vectors: Sequence[PresheafVector]) -> tuple[Side, Quantale, object, np.ndarray]:
-    """The shared side, quantale and objects of the vectors, and their arrays as rows."""
+def _family(vectors: Sequence[PresheafVector]) -> tuple[Side, Quantale, object, list[np.ndarray]]:
+    """The shared side, quantale and objects of the vectors, and their arrays."""
     if not vectors:
         raise ValueError("an empty family of vectors has no side, quantale or length")
     head = vectors[0]
-    objects = head.objects
+    objects, arrays = head.objects, [head.values_array]
     for v in vectors[1:]:
         if v.side is not head.side:
             raise ValueError("vectors must share a side")
         if v.quantale is not head.quantale:
             raise ValueError("vectors must share a quantale")
-        if len(v) != len(head):
+        if len(v.values_array) != len(arrays[0]):
             raise SizeMismatchError(head.mismatch or "vectors must share a length")
         objects = _same_objects(objects, v.objects, head.mismatch)
-    return head.side, head.quantale, objects, np.stack([v.values_array for v in vectors])
+        arrays.append(v.values_array)
+    return head.side, head.quantale, objects, arrays
 
 
 def pointwise_meet(vectors: Sequence[PresheafVector]) -> PresheafVector:
-    side, q, objects, rows = _stack_family(vectors)
-    return PresheafVector(q.meet.reduce(rows, axis=0), side, q, objects)
+    side, q, objects, arrays = _family(vectors)
+    return PresheafVector(q.meet.reduce(arrays, axis=0), side, q, objects)
 
 
 def pointwise_join(vectors: Sequence[PresheafVector]) -> PresheafVector:
-    side, q, objects, rows = _stack_family(vectors)
-    return PresheafVector(q.join.reduce(rows, axis=0), side, q, objects)
+    side, q, objects, arrays = _family(vectors)
+    return PresheafVector(q.join.reduce(arrays, axis=0), side, q, objects)
 
 
 def tensor_each(scalar, vector: PresheafVector) -> PresheafVector:
@@ -460,18 +455,18 @@ def nucleus_limit(
     for pair in pairs:
         _check_fixed_pair(profunctor, pair, tol)
 
-    na, nb = profunctor.domain_size, profunctor.codomain_size
+    na, nb, dom, cod = profunctor.domain_size, profunctor.codomain_size, profunctor.domain, profunctor.codomain
     pres = [p for p, _ in pairs]
     opcos = [qv for _, qv in pairs]
 
     if kind is LimitKind.PRODUCT:
-        p_out = pointwise_meet(pres) if pres else PresheafVector((q.top,) * na, Side.PRE, q)
-        q_join = pointwise_join(opcos) if opcos else PresheafVector((q.bottom,) * nb, Side.OPCO, q)
+        p_out = pointwise_meet(pres) if pres else PresheafVector((q.top,) * na, Side.PRE, q, dom)
+        q_join = pointwise_join(opcos) if opcos else PresheafVector((q.bottom,) * nb, Side.OPCO, q, cod)
         return p_out, closure(profunctor, q_join)
 
     if kind is LimitKind.COPRODUCT:
-        p_join = pointwise_join(pres) if pres else PresheafVector((q.bottom,) * na, Side.PRE, q)
-        q_out = pointwise_meet(opcos) if opcos else PresheafVector((q.top,) * nb, Side.OPCO, q)
+        p_join = pointwise_join(pres) if pres else PresheafVector((q.bottom,) * na, Side.PRE, q, dom)
+        q_out = pointwise_meet(opcos) if opcos else PresheafVector((q.top,) * nb, Side.OPCO, q, cod)
         return closure(profunctor, p_join), q_out
 
     if kind in (LimitKind.TENSOR, LimitKind.COTENSOR):
@@ -620,10 +615,10 @@ def _read_matrix(header, labels, cells, numbers):
     return matrix.domain, matrix.codomain, matrix
 
 
-def render_matrix_csv(
-    row_labels: Sequence[str], col_labels: Sequence[str], profunctor: Profunctor
-) -> str:
-    if len(row_labels) != profunctor.domain_size or len(col_labels) != profunctor.codomain_size:
-        raise SizeMismatchError("label counts do not match the matrix")
+def render_matrix_csv(profunctor: Profunctor) -> str:
+    """The table of an extended-real matrix under its own row and column
+    labels, its ``domain`` and ``codomain``; a positional one has none."""
+    if profunctor.domain is None or profunctor.codomain is None:
+        raise ValueError("a matrix without row and column labels has no CSV form")
     rows = (map(ext.render_float, row) for row in profunctor.entries_array.tolist())
-    return render_labelled_csv(row_labels, col_labels, rows)
+    return render_labelled_csv(profunctor.domain, profunctor.codomain, rows)

@@ -211,9 +211,9 @@ def test_text_output_at_the_float_corners(tmp_path, capsys):
     assert render_function_csv(f) == "x,value\n" + want
     assert want.splitlines()[1:4] == ["1.0,0.0", "2.0,5e-324", "3.0,-5e-324"]
     assert ext.render(ext.ExtReal(ext.Tag.FINITE, -0.0)) == "-0.0"
-    m = Profunctor((f.values[:4], f.values[4:]), EXT_REAL)
+    m = Profunctor((f.values[:4], f.values[4:]), EXT_REAL, ("r0", "r1"), ("a", "b", "c", "d"))
     rows = [",".join(["r" + str(i)] + [cell_text(v) for v in row]) for i, row in enumerate(m.entries)]
-    assert render_matrix_csv(("r0", "r1"), ("a", "b", "c", "d"), m) == "\n".join([",a,b,c,d", *rows]) + "\n"
+    assert render_matrix_csv(m) == "\n".join([",a,b,c,d", *rows]) + "\n"
     assert run(["plotdata", write(tmp_path, "f.csv", render_function_csv(f))]) == 0
     finite = [f"{x!r}\t{v.value!r}" for x, v in zip(f.grid.points, f.values) if v.is_finite]
     omitted = "# omitted 2 infinite samples: x=0.0, x=6.0"
@@ -233,10 +233,12 @@ def test_exit_two_on_missing_file(capsys):
 
 
 def test_exit_two_on_mismatched_dual_grid(tmp_path, capsys):
+    # the adjunction's slopes are the second file's grid: any --dual, even that grid, is refused
     f = write(tmp_path, "f.csv", "x,value\n-1.0,1.0\n0.0,0.0\n1.0,1.0\n")
     g = write(tmp_path, "g.csv", "x,value\n-1.0,0.0\n1.0,0.0\n")
-    assert run(["check", "adjunction", f, g, "--dual", "0:1:0.5"]) == 2
-    assert "dual grid" in capsys.readouterr().err
+    for dual in ("0:1:0.5", "-1:1:2", "auto"):
+        assert run(["check", "adjunction", f, g, "--dual", dual]) == 2
+        assert capsys.readouterr() == ("", f"error: check adjunction takes no --dual: its slopes are the grid of {g}\n")
 
 
 def test_exit_two_on_incompatible_compose(tmp_path, capsys):
@@ -465,7 +467,7 @@ def test_size_errors_name_the_files(tmp_path, capsys):
         (["check", "short", f, g, "--dual", "0:1:1"], grids),
         (["check", "toland-singer", f, g, "--dual", "0:1:1", "--json"], grids),
         (["check", "adjunction", f, g, "--dual", "0:1:0.5"],
-         f"error: {f}, {g}: dual grid does not match the dual function's grid\n"),
+         f"error: check adjunction takes no --dual: its slopes are the grid of {g}\n"),
     ):
         assert run(argv) == 2
         assert capsys.readouterr() == ("", want)
@@ -493,6 +495,15 @@ def test_underscore_flag_numbers_exit_two(tmp_path, capsys):
     for dual in ("Infinity:1:1", "0:1e400:1"):
         assert run(["conjugate", v, "--dual", dual]) == 2
         assert "must be finite" in capsys.readouterr().err
+
+
+def test_readme_python_blocks_run(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = [part.split("```", 1)[0] for part in readme.split("```python\n")[1:]]
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "0.0\n"
 
 
 def test_readme_cli_block_parses():

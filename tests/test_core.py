@@ -412,7 +412,8 @@ def test_matrix_csv_round_trip():
     rows, cols, m = parse_matrix_csv(",c1,c2\nr1,0.0,inf\nr2,-inf,2.5\n")
     assert rows == ("r1", "r2") and cols == ("c1", "c2")
     assert m.entries[0][1] == POS_INF and m.entries[1][0] == NEG_INF
-    text = render_matrix_csv(rows, cols, m)
+    assert (m.domain, m.codomain) == (rows, cols)
+    text = render_matrix_csv(m)
     assert text == ",c1,c2\nr1,0.0,inf\nr2,-inf,2.5\n"
     assert parse_matrix_csv(text)[2].entries == m.entries
 
@@ -457,7 +458,9 @@ def test_nucleus_limit_refuses_a_negative_or_nan_tolerance(tol):
             ValueError,
             "vector and profunctor use different quantales",
         ),
-        (lambda: hom_distance(pre((True,)), pre((ZERO,), EXT_REAL)), ValueError, "vectors use different quantales"),
+        (lambda: hom_distance(pre((True,)), pre((ZERO,), EXT_REAL)), ValueError, "vectors must share a quantale"),
+        (lambda: hom_distance(pre((True,)), opco((True,))), ValueError, "vectors must share a side"),
+        (lambda: hom_distance(pre((True,)), pre((True, False))), SizeMismatchError, "vectors must share a length"),
         (
             lambda: compose_profunctors(M_TRUTH, pairing_profunctor([0.0, 1.0], [0.0])),
             ValueError,
@@ -468,12 +471,20 @@ def test_nucleus_limit_refuses_a_negative_or_nan_tolerance(tol):
         (lambda: pointwise_join([pre((True,)), pre((True, False))]), SizeMismatchError, "vectors must share a length"),
         (lambda: nucleus_limit(M_TRUTH, "sum"), ValueError, "unknown limit kind: 'sum'"),
         (
-            lambda: render_matrix_csv(("r",), ("c1", "c2"), Profunctor(((ZERO,),), EXT_REAL)),
-            SizeMismatchError,
-            "label counts do not match the matrix",
+            lambda: render_matrix_csv(Profunctor(((ZERO,),), EXT_REAL)),
+            ValueError,
+            "a matrix without row and column labels has no CSV form",
+        ),
+        (
+            lambda: render_matrix_csv(Profunctor(((ZERO,),), EXT_REAL, ("r",))),
+            ValueError,
+            "a matrix without row and column labels has no CSV form",
         ),
     ],
-    ids=["push", "pull", "hom", "compose", "side", "quantale", "length", "kind", "labels"],
+    ids=[
+        "push", "pull", "hom", "hom-side", "hom-length", "compose", "side", "quantale", "length", "kind",
+        "labels", "half-labels",
+    ],
 )
 def test_core_refusals(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
@@ -510,6 +521,17 @@ def test_core_refuses_operands_on_other_objects():
     for bad in (moved, (PresheafVector(fixed.values_array, Side.PRE, TRUTH, ("x", "y", "z")), pair[1])):
         with pytest.raises(SizeMismatchError):
             nucleus_limit(M_LABELLED, LimitKind.PRODUCT, [bad])
+
+
+def test_empty_limits_carry_the_matrix_labels():
+    m = parse_matrix_csv(",c1,c2\nr1,0.0,inf\nr2,-inf,2.5\nr3,1,-1\n")[2]
+    top_pre = PresheafVector((NEG_INF,) * 3, Side.PRE, EXT_REAL, m.domain)
+    top_opco = PresheafVector((NEG_INF,) * 2, Side.OPCO, EXT_REAL, m.codomain)
+    product = nucleus_limit(m, LimitKind.PRODUCT)
+    coproduct = nucleus_limit(m, LimitKind.COPRODUCT)
+    assert [v.objects for v in (*product, *coproduct)] == [m.domain, m.codomain] * 2
+    assert product == (top_pre, push(m, top_pre))
+    assert coproduct == (pull(m, top_opco), top_opco)
 
 
 def test_compose_pairs_parsed_matrices_by_inner_labels():

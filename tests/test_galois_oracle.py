@@ -540,12 +540,11 @@ def test_writers_refuse_the_labels_their_readers_would_change(objects, attribute
         written.append(write)
     if n and m:
         values = data.draw(st.lists(st.sampled_from([0.0, -1.5, 1e308, np.inf, -np.inf]), min_size=n * m, max_size=n * m))
-        matrix = Profunctor(np.array(values).reshape(n, m), EXT_REAL)
+        matrix = Profunctor(np.array(values).reshape(n, m), EXT_REAL, tuple(objects), tuple(attributes))
         try:
-            text = render_matrix_csv(objects, attributes, matrix)
+            text = render_matrix_csv(matrix)
         except FormatError:
             assert not plain
         else:
-            labelled = Profunctor(matrix.entries_array, EXT_REAL, tuple(objects), tuple(attributes))
-            assert parse_matrix_csv(text) == (tuple(objects), tuple(attributes), labelled)
+            assert parse_matrix_csv(text) == (tuple(objects), tuple(attributes), matrix)
             assert render_context_csv in written
