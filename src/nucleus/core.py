@@ -617,8 +617,11 @@ def _read_matrix(header, labels, cells, numbers):
 
 def render_matrix_csv(profunctor: Profunctor) -> str:
     """The table of an extended-real matrix under its own row and column
-    labels, its ``domain`` and ``codomain``; a positional one has none."""
-    if profunctor.domain is None or profunctor.codomain is None:
+    labels, its ``domain`` and ``codomain``; one without text labels has none."""
+    index = (profunctor.domain, profunctor.codomain)
+    if any(labels is None for labels in index):
         raise ValueError("a matrix without row and column labels has no CSV form")
+    if not all(isinstance(labels, Sequence) and all(isinstance(lab, str) for lab in labels) for labels in index):
+        raise ValueError("a matrix whose labels are not text has no CSV form")
     rows = (map(ext.render_float, row) for row in profunctor.entries_array.tolist())
-    return render_labelled_csv(profunctor.domain, profunctor.codomain, rows)
+    return render_labelled_csv(*index, rows)

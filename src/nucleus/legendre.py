@@ -29,20 +29,19 @@ both run one kernel with the roles of points and slopes swapped: the
 linear-time Legendre transform (Lucet, Numer. Algorithms 16, 1997).  It
 applies the tag rules, takes the lower hull of the finite samples in
 whole-array passes, binary-searches each slope among the hull's edge
-slopes and evaluates ``k*x - f(x)`` at the vertex found, its two
-neighbours and the two end vertices.  The hull kernel scales each axis
-by a power of two into [2**507, 2**508), and takes exact turns where
-that rounds off a low bit or a sample lies below its float hull by more
-than rounding.  N points against K slopes cost O((N + K) log N) time and
-O(N + K) memory, against O(N*K) for both in the brute force of
-:func:`nucleus.core.adjoint_arrays` on the whole pairing.  Infinite tags
-match the brute force exactly; a finite value that the brute force
-attains only at a near-tie may differ from it by rounding, within
-``1e-12`` times the scale ``max|k| * max|x| + max|f(x)|`` of the inputs
-(``TRANSFORM_RTOL``).  Inputs where ``max|k| * max|x|`` or the spread of
-the finite values times the spread of their abscissae leaves the float
-range go to the brute force, in blocks, and come out bit-identical to
-it.
+slopes and evaluates ``k*x - f(x)`` at the vertex found and its two
+neighbours.  The hull kernel scales each axis by a power of two into
+[2**507, 2**508), and takes exact turns where that rounds off a low bit
+or a sample lies below its float hull by more than rounding.  N points
+against K slopes cost O((N + K) log N) time and O(N + K) memory, against
+O(N*K) for both in the brute force of :func:`nucleus.core.adjoint_arrays`
+on the whole pairing.  Infinite tags match the brute force exactly; a
+finite value that the brute force attains only at a near-tie may differ
+from it by rounding, within ``1e-12`` times the scale
+``max|k| * max|x| + max|f(x)|`` of the inputs (``TRANSFORM_RTOL``).
+Inputs where ``max|k| * max|x|`` or the spread of the finite values
+times the spread of their abscissae leaves the float range go to the
+brute force, in blocks, and come out bit-identical to it.
 """
 
 from __future__ import annotations
@@ -297,11 +296,11 @@ def _transform(points: np.ndarray, values: np.ndarray, queries: np.ndarray) -> n
     px, pv = points[finite], values[finite]
     spread_x = float(px[-1]) - float(px[0]) if len(px) else 0.0
     spread_v = float(pv.max()) - float(pv.min()) if len(pv) else 0.0
-    # Python floats overflow to inf without a warning; the edges' slopes
-    # below are quotients of differences that this keeps finite
+    # Python floats overflow to inf without a warning; this keeps the
+    # differences below finite, and an edge's slope that overflows saturates
     if not (reach < math.inf and max(spread_x, 1.0) * max(spread_v, 1.0) < 2.0**1021):
         return _brute_transform(points, values, queries)
-    # every product q*p is finite from here on, so q*p - (-inf) = +inf
+    # every product q*p is finite from here on: q*p - (-inf) = +inf, and no difference is NaN
     if (values == -np.inf).any():
         return np.full(len(queries), np.inf)
     if not len(px):
@@ -309,13 +308,10 @@ def _transform(points: np.ndarray, values: np.ndarray, queries: np.ndarray) -> n
     vertices = _hull_vertices(px, pv)
     hx, hv = px[vertices], pv[vertices]
     with np.errstate(over="ignore"):
-        edges = np.maximum.accumulate(np.diff(hv) / np.diff(hx))
-    found = np.searchsorted(edges, queries)
-    last = len(hx) - 1
-    out = np.full(len(queries), -np.inf)
-    # searchsorted returns 0..last, a vertex; its neighbours are clipped to the ends
-    for at in (np.maximum(found - 1, 0), found, np.minimum(found + 1, last), 0, last):
-        np.maximum(out, ext.sub_arrays(queries * hx[at], hv[at]), out=out)
+        found = np.searchsorted(np.maximum.accumulate(np.diff(hv) / np.diff(hx)), queries)
+        out = queries * hx[found] - hv[found]
+        for at in (np.maximum(found - 1, 0), np.minimum(found + 1, len(hx) - 1)):
+            np.maximum(out, queries * hx[at] - hv[at], out=out)
     return out
 
 
@@ -414,7 +410,8 @@ def _monotone_chain(x: np.ndarray, y: np.ndarray, keep: np.ndarray) -> np.ndarra
 def biconjugate(f: SampledFunction, dual: Grid) -> SampledFunction:
     """Conjugate twice through the given slope grid.
 
-    Never exceeds ``f``, is idempotent for a fixed slope grid, and with
+    Exceeds ``f`` only by rounding, within ``TRANSFORM_RTOL`` times the
+    first transform's scale; is idempotent for a fixed slope grid, and with
     slopes covering every pairwise difference quotient of the finite
     points it equals the geometric lower hull on the grid.
     """

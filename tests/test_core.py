@@ -40,6 +40,7 @@ from nucleus.core import (
     underlying_preorder,
 )
 from nucleus.extreal import NEG_INF, POS_INF, ZERO
+from nucleus.legendre import Grid
 
 fin = ext.finite
 
@@ -480,10 +481,20 @@ def test_nucleus_limit_refuses_a_negative_or_nan_tolerance(tol):
             ValueError,
             "a matrix without row and column labels has no CSV form",
         ),
+        (
+            lambda: render_matrix_csv(Profunctor(np.zeros((1, 2)), EXT_REAL, ("r",), Grid((0.0, 1.0)))),
+            ValueError,
+            "a matrix whose labels are not text has no CSV form",
+        ),
+        (
+            lambda: render_matrix_csv(Profunctor(np.zeros((2, 1)), EXT_REAL, (1, 2.5), ("c",))),
+            ValueError,
+            "a matrix whose labels are not text has no CSV form",
+        ),
     ],
     ids=[
         "push", "pull", "hom", "hom-side", "hom-length", "compose", "side", "quantale", "length", "kind",
-        "labels", "half-labels",
+        "labels", "half-labels", "grid-labels", "number-labels",
     ],
 )
 def test_core_refusals(call, error, message):

@@ -135,6 +135,17 @@ def sampled(draw, space: Space, coord=COORD, value=VALUE):
 
 
 @st.composite
+def near_lines(draw):
+    """Up to 40 samples of a lattice line, each moved by a few units of
+    1e-15 of its size, so that the hull's turns are near ties."""
+    xs = sorted(draw(st.lists(st.sampled_from(LATTICE), min_size=1, max_size=40, unique=True)))
+    slope, icept = draw(st.sampled_from(LATTICE)), draw(st.sampled_from(LATTICE))
+    noise = draw(st.lists(st.integers(-4, 4), min_size=len(xs), max_size=len(xs)))
+    vals = [slope * x + icept for x in xs]
+    return SampledFunction(Grid(xs), [v + k * 1e-15 * (1 + abs(v)) for v, k in zip(vals, noise)], Space.PRIMAL)
+
+
+@st.composite
 def grids(draw, coord=COORD):
     return Grid(sorted(draw(st.lists(coord, min_size=1, max_size=40, unique=True))))
 
@@ -149,7 +160,7 @@ def families(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(sampled(Space.PRIMAL), grids())
+@given(st.one_of(sampled(Space.PRIMAL), near_lines()), grids())
 def test_conjugate_matches_the_brute_force(f, dual):
     got = conjugate(f, dual).values_array
     assert_agrees(got, f.grid.as_array, f.values_array, dual.as_array)
@@ -234,17 +245,6 @@ def test_conjugating_an_infimum_gives_the_supremum_of_the_conjugates(fs, dual):
     want = pointwise_meet([conjugate(f, dual) for f in fs]).values_array
     values = np.concatenate([f.values_array for f in fs])
     assert_within(got, want, TRANSFORM_RTOL * scale(fs[0].grid.as_array, values, dual.as_array))
-
-
-@st.composite
-def near_lines(draw):
-    """Up to 40 samples of a lattice line, each moved by a few units of
-    1e-15 of its size, so that the hull's turns are near ties."""
-    xs = sorted(draw(st.lists(st.sampled_from(LATTICE), min_size=1, max_size=40, unique=True)))
-    slope, icept = draw(st.sampled_from(LATTICE)), draw(st.sampled_from(LATTICE))
-    noise = draw(st.lists(st.integers(-4, 4), min_size=len(xs), max_size=len(xs)))
-    vals = [slope * x + icept for x in xs]
-    return SampledFunction(Grid(xs), [v + k * 1e-15 * (1 + abs(v)) for v, k in zip(vals, noise)], Space.PRIMAL)
 
 
 def primal(xs, vals):
