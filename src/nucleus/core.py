@@ -9,17 +9,17 @@ residuation is the subtraction table from :mod:`nucleus.extreal`).
 
 A profunctor, a finite matrix of quantale values between two object
 sets, induces the adjoint pair ``push``/``pull`` between PRE and OPCO
-vectors: one kernel, :func:`adjoint_arrays`, which :mod:`nucleus.legendre`
-falls back to on the pairing k*x.  Their composites are closure operators;
-limits and colimits of fixed pairs are computed pointwise and re-closed
-on the side the pointwise formula can leave.  Profunctors and vectors
-hold one encoded array each; the scalar views ``entries`` and ``values``
-are built only when read, and each object set may carry an index, labels
-or a grid: core alone decides whether two operands share objects, sizes
-first, then indices, where None (positional) agrees with any, and results
-carry the index on.  Matrix, context and function files are one
-labelled-table CSV, read in whole columns by :func:`parse_labelled_csv`,
-whose one row walk names the first fault of a file it refuses.
+vectors: one kernel, :func:`adjoint_arrays`.  Their composites are
+closure operators; limits and colimits of fixed pairs are computed
+pointwise and re-closed on the side the pointwise formula can leave.
+Profunctors and vectors hold one encoded array each; the scalar views
+``entries`` and ``values`` are built only when read, and each object set
+may carry an index, labels or a grid: core alone decides whether two
+operands share objects, sizes first, then indices, where None
+(positional) agrees with any, and results carry the index on.  Matrix,
+context and function files are one labelled-table CSV, read in whole
+columns by :func:`parse_labelled_csv`, whose one row walk names the
+first fault of a file it refuses.
 """
 
 from __future__ import annotations

@@ -32,16 +32,14 @@ whole-array passes, binary-searches each slope among the hull's edge
 slopes and evaluates ``k*x - f(x)`` at the vertex found and its two
 neighbours.  The hull kernel scales each axis by a power of two into
 [2**507, 2**508), and takes exact turns where that rounds off a low bit
-or a sample lies below its float hull by more than rounding.  N points
-against K slopes cost O((N + K) log N) time and O(N + K) memory, against
-O(N*K) for both in the brute force of :func:`nucleus.core.adjoint_arrays`
-on the whole pairing.  Infinite tags match the brute force exactly; a
-finite value that the brute force attains only at a near-tie may differ
-from it by rounding, within ``1e-12`` times the scale
-``max|k| * max|x| + max|f(x)|`` of the inputs (``TRANSFORM_RTOL``).
-Inputs where ``max|k| * max|x|`` or the spread of the finite values
-times the spread of their abscissae leaves the float range go to the
-brute force, in blocks, and come out bit-identical to it.
+or a sample lies below its float hull by more than rounding.  A rise, a
+run or a value ``k*x - f(x)`` beyond the float range is taken on halves,
+so k*x is the real product at every magnitude.  N points against K
+slopes cost O((N + K) log N) time and O(N + K) memory, against O(N*K)
+for the brute force of :func:`nucleus.core.adjoint_arrays`.  A value is
+infinite by the tag rules or where the exact maximum rounds beyond the
+float range; a finite value lies within ``1e-12`` times the scale
+``max|k| * max|x| + max|f(x)|`` of the exact one (``TRANSFORM_RTOL``).
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ import numpy as np
 
 from . import core
 from . import extreal as ext
-from .core import EXT_REAL, FormatError, LimitKind, adjoint_arrays
+from .core import EXT_REAL, FormatError, LimitKind
 from .extreal import ExtReal
 
 __all__ = [
@@ -86,14 +84,12 @@ __all__ = [
 
 # The extended reals' fixedness tolerance, the default of every check.
 DEFAULT_TOL = EXT_REAL.default_fixed_tol
-# Finite transform values agree with the brute force within this multiple
-# of max|k| * max|x| + max|f(x)| (see the module docstring).
+# Finite transform values lie within this multiple of max|k| * max|x| +
+# max|f(x)| of the exact maximum (see the module docstring).
 TRANSFORM_RTOL = 1e-12
 # Largest slope grid Grid.from_range builds, 32 MB as an array, and most
 # sample pairs default_dual_grid takes quotients of.
 MAX_GRID_POINTS = 1 << 22
-# Largest pairing block the brute-force transform materialises.
-_BLOCK_CELLS = 1 << 20
 
 
 class Space(Enum):
@@ -284,48 +280,46 @@ def reverse_conjugate(g: SampledFunction, primal: Grid) -> SampledFunction:
 
 
 def _transform(points: np.ndarray, values: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """At each query q, max over i of q*points[i] - values[i] with the
-    saturating subtraction; points and queries strictly increasing.
-
-    The linear-time Legendre transform: only the lower hull of the finite
-    samples can attain the maximum, and the vertex attaining it at q is the
-    one whose incoming and outgoing edge slopes bracket q.
-    """
-    reach = max(-float(points[0]), float(points[-1])) * max(-float(queries[0]), float(queries[-1]))
-    finite = np.isfinite(values)
-    px, pv = points[finite], values[finite]
-    spread_x = float(px[-1]) - float(px[0]) if len(px) else 0.0
-    spread_v = float(pv.max()) - float(pv.min()) if len(pv) else 0.0
-    # Python floats overflow to inf without a warning; this keeps the
-    # differences below finite, and an edge's slope that overflows saturates
-    if not (reach < math.inf and max(spread_x, 1.0) * max(spread_v, 1.0) < 2.0**1021):
-        return _brute_transform(points, values, queries)
-    # every product q*p is finite from here on: q*p - (-inf) = +inf, and no difference is NaN
+    """At each query q, max over i of q*points[i] - values[i], the product
+    real and the difference by the saturating table, for strictly increasing
+    points and queries: only the lower hull of the finite samples can attain
+    it, at the vertex whose incoming and outgoing edge slopes bracket q."""
     if (values == -np.inf).any():
         return np.full(len(queries), np.inf)
-    if not len(px):
+    finite = np.isfinite(values)
+    if not finite.any():
         return np.full(len(queries), -np.inf)
+    px, pv = points[finite], values[finite]
     vertices = _hull_vertices(px, pv)
     hx, hv = px[vertices], pv[vertices]
-    with np.errstate(over="ignore"):
-        found = np.searchsorted(np.maximum.accumulate(np.diff(hv) / np.diff(hx)), queries)
-        out = queries * hx[found] - hv[found]
-        for at in (np.maximum(found - 1, 0), np.minimum(found + 1, len(hx) - 1)):
-            np.maximum(out, queries * hx[at] - hv[at], out=out)
+    (cx, cy), _, (run, rise) = _halved_steps(np.array([hx, hv]))
+    with np.errstate(over="ignore"):  # a slope beyond the float range saturates
+        slopes = np.append(np.maximum.accumulate(rise / run * (cx / cy)), np.inf)
+    found = np.searchsorted(slopes, queries)
+    out = _pairing_minus(queries, hx[found], hv[found])
+    for at in (np.maximum(found - 1, 0), np.minimum(found + 1, len(hx) - 1)):
+        np.maximum(out, _pairing_minus(queries, hx[at], hv[at]), out=out)
+    # Edges whose slopes round to the query give values equal to rounding, save below
+    # the normal range: there each vertex among them is a candidate, N + 3K in all.
+    tied = np.flatnonzero((slopes.take(found + 1, mode="clip") == queries) & (abs(queries) < 2.0**-1022))
+    if len(tied):
+        first = np.maximum(found[tied] - 1, 0)
+        sizes = np.minimum(np.searchsorted(slopes, queries[tied], "right") + 1, len(hx) - 1) - first + 1
+        starts = np.cumsum(sizes) - sizes
+        at = np.arange(sizes.sum()) + np.repeat(first - starts, sizes)
+        out[tied] = np.maximum.reduceat(_pairing_minus(np.repeat(queries[tied], sizes), hx[at], hv[at]), starts)
     return out
 
 
-def _brute_transform(points: np.ndarray, values: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """The transform as the push of :func:`nucleus.core.adjoint_arrays` along
-    the whole pairing, in blocks of queries; products beyond the float range
-    saturate."""
-    step = max(1, _BLOCK_CELLS // len(points))
-    blocks = []
-    for s in range(0, len(queries), step):
-        with np.errstate(over="ignore"):
-            pairing = np.multiply.outer(points, queries[s : s + step])
-        blocks.append(adjoint_arrays(EXT_REAL, pairing, values, axis=0))
-    return np.concatenate(blocks)
+def _pairing_minus(q: np.ndarray, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """q*x - v for finite arrays; where that overflows, 2 * (q*(x/2) - v/2),
+    whose x/2 is exact there, as |q*x| is large."""
+    with np.errstate(over="ignore"):
+        out = q * x - v
+        wide = ~np.isfinite(out)
+        if wide.any():
+            out[wide] = 2 * (q[wide] * (x[wide] * 0.5) - v[wide] * 0.5)
+    return out
 
 
 # A peeling pass over n points costs about as much as 32 + n/32 steps of the
@@ -384,13 +378,18 @@ def _on_polyline(hx: np.ndarray, hy: np.ndarray, at: np.ndarray) -> np.ndarray:
     taken on halves.  At a vertex the share is 0: the value is its own."""
     # each vertex's edge takes the abscissae from it up to the next vertex
     counts = np.diff(np.searchsorted(at, hx), append=len(at))
-    ends = np.array([hx, hy])
-    nxt = np.append(ends[:, 1:], [[np.inf], [hy[-1]]], axis=1)  # a flat edge after the last vertex
-    with np.errstate(over="ignore"):  # an edge's axis whose run or rise overflows is halved
-        half = np.where(np.isfinite(nxt - ends), 1.0, 0.5)
-    lo = ends * half
-    c, v, x0, y0, run, rise = np.repeat(np.concatenate([half, lo, nxt * half - lo]), counts, axis=1)
+    steps = _halved_steps(np.array([np.append(hx, np.inf), np.append(hy, hy[-1])]))  # a flat last edge
+    c, v, x0, y0, run, rise = np.repeat(np.concatenate(steps), counts, axis=1)
     return (y0 + (at * c - x0) / run * rise) / v
+
+
+def _halved_steps(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The steps along each row of ``ends``, each that overflows taken on halves:
+    the factors (1 or 1/2), the left ends times them and the steps times them."""
+    with np.errstate(over="ignore"):
+        half = np.where(np.isfinite(np.diff(ends)), 1.0, 0.5)
+    lo = ends[:, :-1] * half
+    return half, lo, ends[:, 1:] * half - lo
 
 
 def _monotone_chain(x: np.ndarray, y: np.ndarray, keep: np.ndarray) -> np.ndarray:

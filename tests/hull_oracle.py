@@ -7,7 +7,8 @@ scaling, and each hull value is interpolated exactly and rounded once.
 It follows ``convex_hull_oracle``'s tag rules: any -inf sample makes the
 hull -inf everywhere, +inf samples take no part, and the grid stays +inf
 outside the span of the finite samples.  The transform takes each
-``k*x - f(x)`` exactly, so a product never overflows to a tag.
+``k*x - f(x)`` exactly, so a product never overflows to a tag, and
+rounds each maximum once, to +inf or -inf beyond the float range.
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ def exact_transform(points, values, queries) -> np.ndarray:
     rules of the extended reals' subtraction on finite products: any -inf
     value makes every result +inf, +inf values take no part, and with no
     finite value left the result is -inf.  Each finite maximum is exact
-    and rounded once to the nearest float (OverflowError beyond the float
-    range)."""
+    and rounded once to the nearest float, beyond the float range to the
+    infinity of its sign."""
     vals = np.asarray(values, dtype=float)
     if (vals == -np.inf).any():
         return np.full(len(queries), np.inf)
@@ -72,4 +73,23 @@ def exact_transform(points, values, queries) -> np.ndarray:
     pv = [(Fraction(p), Fraction(v)) for p, v in zip(np.asarray(points)[finite].tolist(), vals[finite].tolist())]
     if not pv:
         return np.full(len(queries), -np.inf)
-    return np.array([float(max(Fraction(q) * p - v for p, v in pv)) for q in np.asarray(queries).tolist()])
+    return np.array([_rounded(max(Fraction(q) * p - v for p, v in pv)) for q in np.asarray(queries).tolist()])
+
+
+def _rounded(q: Fraction) -> float:
+    try:
+        return float(q)
+    except OverflowError:
+        return float("inf") if q > 0 else float("-inf")
+
+
+def transform_bounds(points, values, queries, rtol: float) -> np.ndarray:
+    """Each query's bound on a finite transform value's error: rtol times
+    its scale |q| * max|x| + max|f(x)| (finite values only; inf where that
+    overflows), or the spacing 5e-324 of the subnormal floats if larger."""
+    vals = np.asarray(values, dtype=float)
+    finite = vals[np.isfinite(vals)]
+    top = float(np.abs(finite).max()) if len(finite) else 0.0
+    with np.errstate(over="ignore"):
+        scales = np.abs(np.asarray(queries, dtype=float)) * float(np.abs(np.asarray(points)).max()) + top
+    return np.maximum(rtol * scales, 5e-324)

@@ -25,6 +25,7 @@ from nucleus.legendre import (
     default_dual_grid,
     parse_function_csv,
     render_function_csv,
+    reverse_conjugate,
 )
 
 IDENT2_CXT = "B\n\n2\n2\ng1\ng2\nm1\nm2\nX.\n.X\n"
@@ -287,6 +288,18 @@ def test_conjugate_beyond_the_float_range_is_silent(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "x,value\n1.7e+308,inf\n"
     assert captured.err == ""
+
+
+def test_conjugate_takes_the_real_product_beyond_the_float_range(tmp_path, capsys):
+    # a -inf sample makes the conjugate +inf at every slope, however k*x
+    # overflows, and 2 * 1e308 - 1e308 is finite though 2 * 1e308 is not;
+    # the mirror transform reads the same file as a dual function
+    for row, k, want in [("1e308,-inf", -2.75, "inf"), ("1e308,-inf", -1.0, "inf"), ("1e308,1e308", 2.0, "1e+308")]:
+        path = write(tmp_path, "f.csv", row + "\n")
+        assert run(["conjugate", path, f"--dual={k!r}:{k!r}:1"]) == 0
+        assert capsys.readouterr().out == f"x,value\n{k!r},{want}\n"
+        g = parse_function_csv(row, Space.DUAL)
+        assert reverse_conjugate(g, Grid((k,))).values_array.tolist() == [float(want)]
 
 
 def test_hull_near_the_float_range_is_silent(tmp_path, capsys):
