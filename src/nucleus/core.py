@@ -12,7 +12,8 @@ sets, induces the adjoint pair ``push``/``pull`` between PRE and OPCO
 vectors: one kernel, :func:`adjoint_arrays`.  Their composites are
 closure operators; limits and colimits of fixed pairs are computed
 pointwise and re-closed on the side the pointwise formula can leave.
-Profunctors and vectors hold one encoded array each; the scalar views
+Profunctors and vectors hold one encoded array each, a caller's copied
+and checked, a kernel's own result kept as it is; the scalar views
 ``entries`` and ``values`` are built only when read, and each object set
 may carry an index, labels or a grid: core alone decides whether two
 operands share objects, sizes first, then indices, where None
@@ -68,6 +69,9 @@ __all__ = [
     "parse_matrix_csv",
     "render_matrix_csv",
 ]
+
+# Most cells one block of compose_profunctors' temporary holds.
+COMPOSE_BLOCK_CELLS = 1 << 18
 
 
 class Side(Enum):
@@ -203,6 +207,16 @@ class Profunctor:
         _index_fits(self.codomain, arr.shape[1], "codomain", "columns")
         object.__setattr__(self, "entries_array", arr)
 
+    @classmethod
+    def _of(cls, arr: np.ndarray, quantale: Quantale, domain, codomain) -> "Profunctor":
+        """The profunctor of an array core has just computed in the
+        quantale's encoding, or one checked as such, kept as it is: only
+        marked read-only, with no copy and no check."""
+        arr.setflags(write=False)
+        out = object.__new__(cls)
+        out.__dict__.update(entries_array=arr, quantale=quantale, domain=domain, codomain=codomain)
+        return out
+
     def __reduce__(self):
         # through the constructor, so a copy's array is read-only too
         return type(self), (self.entries_array, self.quantale, self.domain, self.codomain)
@@ -246,6 +260,16 @@ class PresheafVector:
             raise ValueError("presheaf vector must be non-empty")
         _index_fits(self.objects, len(arr), "object", "values")
         object.__setattr__(self, "values_array", arr)
+
+    @classmethod
+    def _of(cls, arr: np.ndarray, side: Side, quantale: Quantale, objects) -> "PresheafVector":
+        """The vector of an array core has just computed in the quantale's
+        encoding, kept as it is: only marked read-only, with no copy and no
+        check."""
+        arr.setflags(write=False)
+        out = object.__new__(cls)
+        out.__dict__.update(values_array=arr, side=side, quantale=quantale, objects=objects)
+        return out
 
     def __reduce__(self):
         # through the constructor, so a copy's array is read-only too
@@ -309,7 +333,7 @@ def _adjoint(profunctor: Profunctor, vector: PresheafVector, axis: int) -> Presh
     q, objects = profunctor.quantale, (profunctor.domain, profunctor.codomain)
     _same_objects(objects[axis], vector.objects, "vector and profunctor index different objects")
     values = adjoint_arrays(q, profunctor.entries_array, vector.values_array, axis)
-    return PresheafVector(values, other, q, objects[1 - axis])
+    return PresheafVector._of(values, other, q, objects[1 - axis])
 
 
 def push(profunctor: Profunctor, pre: PresheafVector) -> PresheafVector:
@@ -374,8 +398,9 @@ def compose_profunctors(first: Profunctor, second: Profunctor) -> Profunctor:
     """Relational composite: out(a,c) = join_b first(a,b) (x) second(b,c).
 
     Over the extended reals this is the min-plus matrix product; over
-    truth it is composition of relations.  Built one output row at a
-    time, so the temporary holds one mid x width block.
+    truth it is composition of relations.  Built in blocks of output
+    rows, so the temporary holds at most COMPOSE_BLOCK_CELLS cells, or one
+    row's mid x width if that is more.
     """
     if first.quantale is not second.quantale:
         raise ValueError("profunctors use different quantales")
@@ -384,11 +409,12 @@ def compose_profunctors(first: Profunctor, second: Profunctor) -> Profunctor:
     inner = (first.codomain, second.domain)
     _same_objects(*inner, "inner labels differ: columns {} vs rows {}", *inner)
     q = first.quantale
-    right = second.entries_array
+    left, right = first.entries_array[:, :, np.newaxis], second.entries_array
     out = np.empty((first.domain_size, second.codomain_size), dtype=q.dtype)
-    for a, row in enumerate(first.entries_array):
-        out[a] = q.join.reduce(q.tensor(row[:, np.newaxis], right), axis=0)
-    return Profunctor(out, q, first.domain, second.codomain)
+    step = max(1, COMPOSE_BLOCK_CELLS // right.size)
+    for lo in range(0, len(out), step):
+        out[lo:lo + step] = q.join.reduce(q.tensor(left[lo:lo + step], right), axis=1)
+    return Profunctor._of(out, q, first.domain, second.codomain)
 
 
 def _family(vectors: Sequence[PresheafVector]) -> tuple[Side, Quantale, object, list[np.ndarray]]:
@@ -411,22 +437,22 @@ def _family(vectors: Sequence[PresheafVector]) -> tuple[Side, Quantale, object, 
 
 def pointwise_meet(vectors: Sequence[PresheafVector]) -> PresheafVector:
     side, q, objects, arrays = _family(vectors)
-    return PresheafVector(q.meet.reduce(arrays, axis=0), side, q, objects)
+    return PresheafVector._of(q.meet.reduce(arrays, axis=0), side, q, objects)
 
 
 def pointwise_join(vectors: Sequence[PresheafVector]) -> PresheafVector:
     side, q, objects, arrays = _family(vectors)
-    return PresheafVector(q.join.reduce(arrays, axis=0), side, q, objects)
+    return PresheafVector._of(q.join.reduce(arrays, axis=0), side, q, objects)
 
 
 def tensor_each(scalar, vector: PresheafVector) -> PresheafVector:
     q = vector.quantale
-    return PresheafVector(q.tensor(q.encode((scalar,)), vector.values_array), vector.side, q, vector.objects)
+    return PresheafVector._of(q.tensor(q.encode((scalar,)), vector.values_array), vector.side, q, vector.objects)
 
 
 def residuate_each(scalar, vector: PresheafVector) -> PresheafVector:
     q = vector.quantale
-    return PresheafVector(q.residuate(q.encode((scalar,)), vector.values_array), vector.side, q, vector.objects)
+    return PresheafVector._of(q.residuate(q.encode((scalar,)), vector.values_array), vector.side, q, vector.objects)
 
 
 def _check_fixed_pair(profunctor: Profunctor, pair, tol: float) -> None:

@@ -180,9 +180,10 @@ def render(x: ExtReal) -> str:
     return render_float(x._cell)
 
 
-def render_float(v: float) -> str:
-    """Text of one encoded cell; float repr spells the infinities ``inf`` and ``-inf``."""
-    return float.__repr__(v)
+# Text of one encoded cell: float repr spells the infinities ``inf`` and
+# ``-inf``.  The builtin itself, so that a table's writer maps it over its
+# cells with no Python frame per cell.
+render_float = float.__repr__
 
 
 def _real(token: str) -> float:

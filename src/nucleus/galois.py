@@ -13,15 +13,16 @@ The lattice is walked on the smaller side, intersecting every intent
 found so far with one row at a time, so each intent arrives with its
 extent and no polar is taken; a walk past MAX_CONCEPTS is refused.  A
 lattice is the walk's extent and intent masks and the context; its
-``Concept`` objects are a view built when read, and its text forms decode
-the labels straight from the masks.  The order is inclusion of the extent
-masks.  The covers are each concept's upper neighbours (Lindig, "Fast
-Concept Analysis", 2000), found in one array pass over the masks packed
-into 64-bit words: concept j covers concept i iff every object of extent
-j outside extent i leads from i to j.  Meets intersect extents, joins
-intersect intents; a concept galois built keeps its masks, which its own
-context reads back unchecked.  A context's CSV form is core's labelled
-table with 0/1 cells, read in whole columns.
+``Concept`` objects are a view built when read, and its text forms
+gather the labels from all the masks unpacked at once.  The order is
+inclusion of the extent masks.  The covers are each concept's upper
+neighbours (Lindig, "Fast Concept Analysis", 2000), found in one array
+pass over the masks packed into 64-bit words: concept j covers concept
+i iff every object of extent j outside extent i leads from i to j.
+Meets intersect extents, joins intersect intents; a concept galois built
+keeps its masks, which its own context reads back unchecked.  A
+context's CSV form is core's labelled table with 0/1 cells, read in
+whole columns.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ __all__ = [
 MAX_CONCEPTS = 1 << 19
 # Most 64-bit words one block of the covers pass holds per candidate array:
 # a block of concepts takes (intent words + 4) words per object outside them.
+# A block of the concept text holds as many cells, one per label and concept.
 COVERS_BLOCK_WORDS = 1 << 18
 
 
@@ -185,8 +187,10 @@ class Context:
 
     def to_profunctor(self):
         """The incidence relation as a truth-valued profunctor from the
-        objects to the attributes, for core's push and pull."""
-        return Profunctor(self.incidence_array, TRUTH, self.objects, self.attributes)
+        objects to the attributes, for core's push and pull: the checked,
+        read-only array as it is (the constructor refuses an empty one)."""
+        make = Profunctor._of if self.incidence_array.size else Profunctor
+        return make(self.incidence_array, TRUTH, self.objects, self.attributes)
 
 
 @dataclass(frozen=True)
@@ -282,7 +286,10 @@ _REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 def _packed(masks: Sequence[int], words: int) -> np.ndarray:
     """Masks as rows of ``words`` little-endian 64-bit words, packed in
-    chunks of at most COVERS_BLOCK_WORDS words."""
+    chunks of at most COVERS_BLOCK_WORDS words, or read as one column of
+    words when one word holds them."""
+    if words == 1:
+        return np.fromiter(masks, "<u8", len(masks)).reshape(-1, 1)
     out = np.empty((len(masks), words), "<u8")
     nbytes, step = 8 * words, max(1, COVERS_BLOCK_WORDS // words)
     for lo in range(0, len(masks), step):
@@ -462,32 +469,61 @@ def lattice_join(ctx: Context, c1: Concept, c2: Concept) -> Concept:
     return _concept(ctx, ctx.polar_down_mask(intent), intent)
 
 
-def _joined_labels(lattice: ConceptLattice) -> Iterable[tuple[str, str]]:
-    """Each concept's extent and intent labels, comma-joined, decoded
-    from the masks."""
+def _bits(masks: Sequence[int], width: int) -> np.ndarray:
+    """Masks as rows of ``width`` bools, bit k in column k."""
+    words = -(-width // 64) or 1  # a side without labels still packs a word per mask
+    return np.unpackbits(_packed(masks, words).view(np.uint8), axis=1, count=width, bitorder="little").view(bool)
+
+
+def _concept_lines(lattice: ConceptLattice, heads: Sequence[str], mid: str, tail: str, escape=None) -> str:
+    """Each concept's text in lectic order: its head, its extent labels,
+    ``mid``, its intent labels and ``tail``, each side's labels passed
+    through ``escape`` if given and comma-separated.  The masks are
+    unpacked into a row of cells per concept (head, objects, mid,
+    attributes, tail), and the texts of the set cells, a label after
+    another label with a leading ", ", are gathered into one join, in
+    blocks of at most COVERS_BLOCK_WORDS cells."""
     ctx = lattice.context
-    objects, attributes = ctx.object_labels, ctx.T.object_labels
-    for extent, intent in zip(lattice.extent_masks, lattice.intent_masks):
-        yield ", ".join(objects(extent)), ", ".join(attributes(intent))
+    objects, attributes = ctx.objects, ctx.attributes
+    if escape is not None:
+        objects, attributes = tuple(map(escape, objects)), tuple(map(escape, attributes))
+    g, width = len(objects), len(objects) + len(attributes) + 3
+    plain = np.array(["", *objects, mid, *attributes, tail], dtype=object)
+    comma = np.array(["", *(", " + a for a in objects), mid, *(", " + a for a in attributes), tail], dtype=object)
+    label = np.ones(width, bool)
+    label[[0, g + 1, -1]] = False
+    step = max(1, COVERS_BLOCK_WORDS // width)
+    out = []
+    for lo in range(0, len(lattice), step):
+        extents, intents = lattice.extent_masks[lo:lo + step], lattice.intent_masks[lo:lo + step]
+        cells = np.ones((len(extents), width), bool)
+        cells[:, 1:g + 1] = _bits(extents, g)
+        cells[:, g + 2:-1] = _bits(intents, len(attributes))
+        col = np.flatnonzero(cells) % width
+        after_label = np.zeros(len(col), bool)
+        after_label[1:] = label[col[:-1]]
+        texts = np.where(after_label, comma[col], plain[col])
+        texts[col == 0] = heads[lo:lo + step]
+        out.append("".join(texts.tolist()))
+    return "".join(out)
 
 
 def render_concepts(lattice: ConceptLattice) -> str:
     """One concept a line, as ``str`` writes it, in lectic order."""
-    line = _CONCEPT_TEXT + "\n"
-    return "".join(line % labels for labels in _joined_labels(lattice))
+    head, mid, tail = _CONCEPT_TEXT.split("%s")
+    return _concept_lines(lattice, [head] * len(lattice), mid, tail + "\n")
+
+
+def _dot_escaped(label: str) -> str:
+    return label.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def export_dot(lattice: ConceptLattice) -> str:
     """GraphViz source for the Hasse diagram, edges pointing up the order."""
-    lines = ["digraph concepts {", "  rankdir=BT;", "  node [shape=box];"]
-    for i, labels in enumerate(_joined_labels(lattice)):
-        label = "{%s} / {%s}" % labels
-        label = label.replace("\\", "\\\\").replace('"', '\\"')
-        lines.append(f'  c{i} [label="{label}"];')
-    for i, j in lattice.covers():
-        lines.append(f"  c{i} -> c{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    heads = [f'  c{i} [label="{{' for i in range(len(lattice))]
+    nodes = _concept_lines(lattice, heads, "} / {", '}"];\n', _dot_escaped)
+    edges = "".join([f"  c{i} -> c{j};\n" for i, j in lattice.covers()])
+    return "digraph concepts {\n  rankdir=BT;\n  node [shape=box];\n" + nodes + edges + "}\n"
 
 
 # ---------------------------------------------------------------------------

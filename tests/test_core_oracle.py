@@ -18,6 +18,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+from nucleus import core
 from nucleus import extreal as ext
 from nucleus.core import (
     EXT_REAL,
@@ -27,9 +28,11 @@ from nucleus.core import (
     Profunctor,
     Side,
     check_rspace_axioms,
+    closure,
     compose_profunctors,
     hom_distance,
     is_fixed,
+    nucleus_limit,
     pointwise_join,
     pointwise_meet,
     pull,
@@ -39,6 +42,7 @@ from nucleus.core import (
     underlying_preorder,
 )
 from nucleus.extreal import NEG_INF, POS_INF, ZERO, ExtReal
+from nucleus.galois import Context
 from nucleus.legendre import (
     TRANSFORM_RTOL,
     Grid,
@@ -287,6 +291,114 @@ def test_transforms_match_oracle_beyond_the_float_range():
             assert np.array_equal(np.isneginf(got), np.isneginf(want))
             both = np.isfinite(want)
             assert np.all(np.abs(got[both] - want[both]) <= transform_bounds(p, f, q, TRANSFORM_RTOL)[both])
+
+
+@QUANTALES
+def test_compose_in_row_blocks_matches_oracle(q, monkeypatch):
+    """A cell budget of a few rows splits each product into several blocks
+    of rows and a ragged last one; a cell whose every term is
+    +inf (x) -inf saturates to +inf whichever block holds it."""
+    rng = random.Random(59)
+    for _ in range(60):
+        na, nb, nc = rng.randint(5, 9), rng.randint(1, 4), rng.randint(1, 4)
+        step = rng.choice([k for k in range(2, na) if na % k])  # rows a block, the last block shorter
+        monkeypatch.setattr(core, "COMPOSE_BLOCK_CELLS", step * nb * nc + rng.randrange(nb * nc))
+        first, second = matrix(rng, q, na, nb), matrix(rng, q, nb, nc)
+        if q is EXT_REAL:
+            a = rng.randrange(na)
+            first = first[:a] + ((POS_INF,) * nb,) + first[a + 1:]
+            second = second[:-1] + ((NEG_INF,) * nc,)
+            second = tuple(((NEG_INF,) + row[1:]) for row in second)
+        got = compose_profunctors(Profunctor(first, q), Profunctor(second, q))
+        assert_matches(got.entries, got.entries_array, oracle_compose(q, first, second), q)
+        if q is EXT_REAL:
+            assert got.entries[a][0] == POS_INF
+
+
+# Cells whose sums and differences are exact, so that closures are fixed pairs.
+EXACT = [NEG_INF, POS_INF, ZERO, fin(1.5), fin(-2.0), fin(3.0)]
+
+
+def _fixed_pairs(rng, prof, count):
+    q = prof.quantale
+    pairs = []
+    for _ in range(count):
+        values = [rng.choice(EXACT) if q is EXT_REAL else rng.random() < 0.5 for _ in range(prof.domain_size)]
+        p = closure(prof, PresheafVector(values, Side.PRE, q))
+        pairs.append((p, push(prof, p)))
+    return pairs
+
+
+def _limit(kind):
+    def run(rng, prof, pre, opco, scalar):
+        pairs = _fixed_pairs(rng, prof, 1 if kind in (LimitKind.TENSOR, LimitKind.COTENSOR) else 3)
+        ins = [v for pair in pairs for v in pair]
+        return ins, nucleus_limit(prof, kind, pairs, scalar if len(pairs) == 1 else None)
+    return run
+
+
+def _composed(rng, m):
+    q = m.quantale
+    before, after = (Profunctor(matrix(rng, q, *shape), q) for shape in ((2, m.domain_size), (m.codomain_size, 3)))
+    return [before, m, after], [compose_profunctors(before, m), compose_profunctors(m, after)]
+
+
+# Each core operation whose result wraps the array its kernel computed:
+# (inputs it read, results) from a profunctor, a PRE and an OPCO vector
+# and a scalar.
+WRAPPED = {
+    "push": lambda rng, m, p, v, a: ([m, p], [push(m, p)]),
+    "pull": lambda rng, m, p, v, a: ([m, v], [pull(m, v)]),
+    "closure": lambda rng, m, p, v, a: ([m, p, v], [closure(m, p), closure(m, v)]),
+    "pointwise_meet": lambda rng, m, p, v, a: ([p], [pointwise_meet([p]), pointwise_meet([p, closure(m, p)])]),
+    "pointwise_join": lambda rng, m, p, v, a: ([p], [pointwise_join([p]), pointwise_join([p, closure(m, p)])]),
+    "tensor_each": lambda rng, m, p, v, a: ([p], [tensor_each(a, p)]),
+    "residuate_each": lambda rng, m, p, v, a: ([p], [residuate_each(a, p)]),
+    "compose": lambda rng, m, p, v, a: _composed(rng, m),
+    **{f"limit_{kind.value}": _limit(kind) for kind in LimitKind},
+}
+
+
+@pytest.mark.parametrize("op", WRAPPED)
+@QUANTALES
+def test_core_results_are_read_only_fresh_and_canonical(q, op):
+    """What core computes is kept as it is, without a second encode: each
+    result's array is read-only, shares no memory with an input, and is
+    bit for bit the encoding of its own scalar view."""
+    rng = random.Random(61)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        cells = EXACT if op.startswith("limit") else EXTREME
+        m = Profunctor([[rng.choice(cells) if q is EXT_REAL else rng.random() < 0.5 for _ in range(n)]
+                        for _ in range(rng.randint(1, 5))], q)
+        p = PresheafVector(vector(rng, q, m.domain_size), Side.PRE, q)
+        v = PresheafVector(vector(rng, q, n), Side.OPCO, q)
+        inputs, results = WRAPPED[op](rng, m, p, v, cell(rng, q))
+        arrays = [getattr(x, "entries_array", getattr(x, "values_array", None)) for x in inputs]
+        for r in results:
+            if isinstance(r, Profunctor):
+                arr, want = r.entries_array, q.encode(r.entries, ndim=2)
+            else:
+                arr, want = r.values_array, q.encode(r.values)
+            assert not arr.flags.writeable
+            assert not any(np.shares_memory(arr, x) for x in arrays)
+            assert arr.dtype == want.dtype and np.array_equal(bits(arr), bits(want))
+
+
+def test_to_profunctor_shares_the_contexts_read_only_array():
+    rng = random.Random(67)
+    for n, m in ((1, 1), (3, 70), (70, 3), (6, 6)):
+        ctx = Context([f"g{i}" for i in range(n)], [f"m{j}" for j in range(m)], np.array(
+            [[rng.random() < 0.5 for _ in range(m)] for _ in range(n)]))
+        for c in (ctx, ctx.T):
+            prof = c.to_profunctor()
+            assert prof.entries_array is c.incidence_array and not prof.entries_array.flags.writeable
+            assert (prof.domain, prof.codomain) == (c.objects, c.attributes)
+            assert prof == Profunctor(c.incidence, TRUTH, c.objects, c.attributes)
+            assert np.array_equal(prof.entries_array, TRUTH.encode(prof.entries, ndim=2))
+    for empty in (Context((), ("a",), ()), Context(("g",), (), ((),))):
+        with pytest.raises(ValueError, match="at least one row and one column"):
+            empty.to_profunctor()
 
 
 def test_compose_at_the_float_range_is_silent():

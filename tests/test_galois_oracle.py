@@ -4,8 +4,9 @@ The oracles are the earlier formulations: the inclusion order from
 extents as label sets, ``top`` and ``bottom`` as O(n^2) scans of that
 order, ``covers`` as the transitive reduction of the dense order matrix,
 the NextClosure walk, the upper-neighbour covers that spent one polar
-per object outside each extent, and the upper-neighbour loop that found
-each candidate in a table from intent to concept.  The lattice must agree
+per object outside each extent, the upper-neighbour loop that found
+each candidate in a table from intent to concept, and each concept's
+``str`` for the text gathered from the masks.  The lattice must agree
 with them exactly on random contexts, including ones without objects or
 without attributes, with duplicate rows and with extents and intents that
 span several machine words, and with its covers computed in blocks of one
@@ -433,11 +434,31 @@ def test_covers_match_the_dense_oracle_on_large_contexts():
     assert sizes[4:] == [(0, 1), (5, 1)]
 
 
+def quoted_context():
+    """Labels with the quote and the backslash that DOT escapes."""
+    return Context(('say "hi"', "back\\slash", "g"), ("m", 'q"'), ((1, 0), (1, 1), (0, 1)))
+
+
 def test_export_dot_matches_the_oracle_on_every_context():
-    quoted = Context(('say "hi"', "back\\slash", "g"), ("m", 'q"'), ((1, 0), (1, 1), (0, 1)))
-    for ctx in (quoted, *contexts()):
+    for ctx in (quoted_context(), *contexts()):
         lat = enumerate_concepts(ctx)
         assert export_dot(lat) == oracle_dot(lat, oracle_covers(oracle_order(lat)))
+
+
+@pytest.mark.parametrize("block_words", [galois.COVERS_BLOCK_WORDS, 4], ids=["whole", "one-concept-blocks"])
+def test_render_concepts_matches_its_oracle(monkeypatch, block_words):
+    """Each concept's ``str`` a line, gathered from the masks whole or a
+    concept a block, on contexts with a side wider than 64 labels, quoted
+    labels and no objects or no attributes; DOT's node text likewise."""
+    monkeypatch.setattr(galois, "COVERS_BLOCK_WORDS", block_words)
+    shapes = set()
+    for ctx in (quoted_context(), *contexts(), *large_contexts()):
+        lat = enumerate_concepts(ctx)
+        assert render_concepts(lat) == "".join(f"{c}\n" for c in lat.concepts)
+        if block_words == 4:
+            assert export_dot(lat) == oracle_dot(lat, lat.covers())
+        shapes.add((len(ctx.objects) > 64 or len(ctx.attributes) > 64, bool(ctx.objects), bool(ctx.attributes)))
+    assert {(True, True, True), (False, False, True), (False, True, False), (False, False, False)} <= shapes
 
 
 def test_set_bit_kernels_match_the_per_bit_loops():
