@@ -6,12 +6,17 @@ the concepts.  A context holds the relation as one read-only bool array
 in core's TRUTH encoding, which ``to_profunctor`` wraps with its labels.
 Subsets are bitmask integers.  Every kernel reads the objects (label
 positions, each object's attributes packed once into a mask, the polar
-walking a mask's set bits); the attributes are the objects of ``T``, the
-transposed context, whose ``T`` is the context again and whose concepts
-are the same pairs with the sides swapped and the order reversed.
+walking a mask's set bits, and a mask's labels read a non-zero byte at a
+time from a memo the context fills as it reads: per byte position, the
+labels of each byte value met there, so at most 256 entries); the
+attributes are the objects of ``T``, the transposed context, whose ``T``
+is the context again and whose concepts are the same pairs with the
+sides swapped and the order reversed.  A copy or a pickle of a context
+is built anew from its labels and array, with no cache.
 The lattice is walked on the smaller side, intersecting every intent
 found so far with one row at a time, so each intent arrives with its
-extent and no polar is taken; a walk past MAX_CONCEPTS is refused.  A
+extent and no polar is taken; a walk past MAX_CONCEPTS is refused.  One
+argsort of the extents' bit-reversed bytes puts them in lectic order.  A
 lattice is the walk's extent and intent masks and the context; its
 ``Concept`` objects are a view built when read, and its text forms
 gather the labels from all the masks unpacked at once.  The order is
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -77,6 +83,25 @@ class TooManyConceptsError(ValueError):
     """A context with more than MAX_CONCEPTS concepts."""
 
 
+class _ByteLabels(dict):
+    """The labels of up to eight consecutive objects, and for each byte value
+    met so far the tuple of those whose bits it sets: at most 256 entries."""
+
+    __slots__ = ("names",)
+
+    def __init__(self, names: tuple[str, ...]) -> None:
+        super().__init__()
+        self.names = names
+
+    def __missing__(self, byte: int) -> tuple[str, ...]:
+        labels = self[byte] = tuple(compress(self.names, _BYTE_BITS[byte]))
+        return labels
+
+
+# each byte value as its eight bits, lowest first
+_BYTE_BITS = tuple(tuple(b >> k & 1 for k in range(8)) for b in range(256))
+
+
 @dataclass(frozen=True, eq=False)
 class Context:
     """Objects, attributes and their incidence as one read-only bool array in
@@ -121,6 +146,10 @@ class Context:
     def __hash__(self) -> int:
         return hash((self.objects, self.attributes, self.incidence_array.tobytes()))
 
+    def __reduce__(self):
+        # through the constructor: a copy's array is read-only and no cache travels
+        return Context, (self.objects, self.attributes, self.incidence_array)
+
     @classmethod
     def from_pairs(cls, objects: Sequence[str], attributes: Sequence[str], pairs: Iterable[tuple[str, str]]) -> "Context":
         blank = cls(objects, attributes, np.zeros((len(objects), len(attributes)), dtype=bool))
@@ -153,6 +182,11 @@ class Context:
             raise UnknownLabelError(f"unknown label {label!r}")
         return i
 
+    @cached_property
+    def _byte_labels(self) -> tuple[_ByteLabels, ...]:
+        # per byte of a mask, its objects' labels and those of each value met
+        return tuple(_ByteLabels(self.objects[k:k + 8]) for k in range(0, len(self.objects), 8))
+
     def object_mask(self, labels: Iterable[str]) -> int:
         mask = 0
         for label in labels:
@@ -160,14 +194,17 @@ class Context:
         return mask
 
     def object_labels(self, mask: int) -> tuple[str, ...]:
-        # set bits only, lowest first; bits past the last object are ignored
-        labels = self.objects
-        mask &= (1 << len(labels)) - 1
+        # non-zero bytes only, lowest first; bits past the last object are
+        # ignored: past the last byte they are cut off here, inside it the
+        # byte's labels run out first
+        memo = self._byte_labels
+        try:
+            data = mask.to_bytes(len(memo), "little")
+        except OverflowError:  # negative, or bits past the last byte
+            data = (mask & (1 << 8 * len(memo)) - 1).to_bytes(len(memo), "little")
         out = []
-        while mask:
-            low = mask & -mask
-            out.append(labels[low.bit_length() - 1])
-            mask ^= low
+        for labels, byte in compress(zip(memo, data), data):
+            out += labels[byte]
         return tuple(out)
 
     def polar_up_mask(self, object_mask: int) -> int:
@@ -247,9 +284,9 @@ def _transposed(ctx: Context) -> bool:
     return len(ctx.attributes) < len(ctx.objects)
 
 
-def _lectic_closed_extents(ctx: Context) -> list[tuple[int, int]]:
-    """Every concept as (extent mask, intent mask), in lectic order of the
-    extents (label index 0 is most significant).
+def _lectic_closed_extents(ctx: Context) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The extent masks and the intent masks of every concept, in lectic
+    order of the extents (label index 0 is most significant).
 
     Row intersections (Norris, 1978) over the objects of the context
     walked, ``ctx`` or ``ctx.T``, with no polar: ``found`` maps each intent
@@ -260,9 +297,10 @@ def _lectic_closed_extents(ctx: Context) -> list[tuple[int, int]]:
     rows lies inside every source t, so c & row_k is s.  So c is a source
     itself, and its extent holds every other source's.  An intent inside
     row_k is its own source and so gains k.  A table past MAX_CONCEPTS after
-    a row is refused.  On ``ctx.T`` each pair is swapped back.  Sorting by
-    the extent's little-endian bytes, each bit-reversed, gives the order:
-    the key compares label 0 first.
+    a row is refused.  On ``ctx.T`` the two sides are swapped back.  One
+    argsort gives the order: its key is each extent packed into words, its
+    little-endian bytes bit-reversed through a table and compared as one
+    fixed-width byte string, so label 0 is compared first.
     """
     transposed = _transposed(ctx)
     walked = ctx.T if transposed else ctx
@@ -276,12 +314,17 @@ def _lectic_closed_extents(ctx: Context) -> list[tuple[int, int]]:
         if len(found) > MAX_CONCEPTS:
             walked_rows = f"{k + 1} of {len(walked.objects)} rows"
             raise TooManyConceptsError(f"{len(found)} concepts after {walked_rows}, more than the cap of {MAX_CONCEPTS}")
-    pairs = found.items() if transposed else ((e, b) for b, e in found.items())
-    nbytes = (len(ctx.objects) + 7) // 8
-    return sorted(pairs, key=lambda c: c[0].to_bytes(nbytes, "little").translate(_REVERSED_BITS))
+    extents, intents = list(found.values()), list(found)
+    if transposed:
+        extents, intents = intents, extents
+    words = -(-len(ctx.objects) // 64) or 1  # a context without objects still packs a word
+    keys = _REVERSED_BITS[_packed(extents, words).view(np.uint8)].view(f"S{8 * words}")[:, 0]
+    order = np.argsort(keys).tolist()
+    return tuple([extents[k] for k in order]), tuple([intents[k] for k in order])
 
 
-_REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+# each byte value with its bits in reverse order
+_REVERSED_BITS = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], np.uint8)
 
 
 def _packed(masks: Sequence[int], words: int) -> np.ndarray:
@@ -428,8 +471,7 @@ def _concept(ctx: Context, extent: int, intent: int) -> Concept:
 
 def enumerate_concepts(ctx: Context) -> ConceptLattice:
     """Complete concept set in lectic order of the extents."""
-    extents, intents = zip(*_lectic_closed_extents(ctx))  # there is always a bottom concept
-    return ConceptLattice(extents, intents, ctx)
+    return ConceptLattice(*_lectic_closed_extents(ctx), ctx)
 
 
 def _masks_of(ctx: Context, concept: Concept) -> tuple[int, int]:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
 
 import numpy as np
@@ -512,6 +514,32 @@ def test_context_holds_one_read_only_array():
         assert "incidence" not in vars(ctx)
         assert ctx.to_profunctor() == Profunctor(ctx.incidence, TRUTH, ctx.objects, ctx.attributes)
         assert ctx.incidence == ((True, False), (True, True), (False, False))
+
+
+def test_copies_of_a_context_are_built_anew_from_its_labels_and_array():
+    """A pickled, deep-copied or copied context, or its transpose, after
+    reads that fill every cache, goes through the constructor: its array
+    is read-only, it holds none of the caches, it pickles as small as a
+    fresh context, and it is equal and enumerates the same lattice."""
+    rng = np.random.default_rng(7)
+    objects, attributes = tuple(f"g{i}" for i in range(200)), tuple(f"m{j}" for j in range(50))
+    big = Context(objects, attributes, rng.random((200, 50)) < 0.1)
+    fields = {"objects", "attributes", "incidence_array"}
+    for ctx in (IDENT2, big):
+        lat = enumerate_concepts(ctx)
+        lat.concepts, ctx.incidence, close_extent(ctx, ctx.objects[:1]), polar_down(ctx, ctx.attributes[:1])
+        assert {"_rows", "_index", "T", "incidence", "_byte_labels"} <= set(vars(ctx))
+        for side in (ctx, ctx.T):
+            fresh = Context(side.objects, side.attributes, side.incidence_array)
+            assert len(pickle.dumps(side)) == len(pickle.dumps(fresh))
+            for copied in (pickle.loads(pickle.dumps(side)), copy.deepcopy(side), copy.copy(side)):
+                assert set(vars(copied)) == fields
+                with pytest.raises(ValueError):
+                    copied.incidence_array[0, 1] = True
+                assert copied == side and hash(copied) == hash(side)
+                assert enumerate_concepts(copied) == enumerate_concepts(side)
+    assert [str(c) for c in enumerate_concepts(copy.deepcopy(IDENT2)).concepts] == [
+        "({}, {m1, m2})", "({g2}, {m2})", "({g1}, {m1})", "({g1, g2}, {})"]
 
 
 @settings(max_examples=200, deadline=None)

@@ -14,8 +14,10 @@ concept.  The walk, by row intersections, must take no polar, and the
 lattice builds its ``Concept`` objects only when they are read.  Concepts that keep the
 masks they were enumerated with must give the meets, joins and
 ``is_concept`` answers of label-only copies, and a concept of another
-context, or a copy, is checked by its labels.  The set-bit polar and label
-kernels are checked against the per-bit loops they replaced.  Every table
+context, or a copy, is checked by its labels.  The set-bit polar and the
+byte-memo label kernels are checked against the per-bit loops they
+replaced, at the byte and word boundaries, and the lectic argsort against
+the sort by a Python key per concept it replaced.  Every table
 writer either refuses a label or writes text its reader reads back as it
 was.
 """
@@ -478,6 +480,66 @@ def test_set_bit_kernels_match_the_per_bit_loops():
                 # bits past the last label name nothing
                 stray = mask | 1 << width + 3
                 assert (ctx, ctx.T)[side].object_labels(stray) == oracle_labels(ctx, stray, side)
+
+
+def byte_masks(rng, width):
+    """Masks of one side: no label and every label, one label and every
+    label but one at the byte boundaries, one byte value at every byte,
+    random ones, the same with bits past the last label (inside the last
+    byte and past it) and negative ones."""
+    full, nbytes = (1 << width) - 1, (width + 7) // 8
+    masks = {0, full}
+    masks |= {int.from_bytes(bytes([b]) * nbytes, "little") for b in (0x01, 0x80, 0xA5, 0xFF)}
+    masks |= {bit for i in (0, 7, 8, 9, 63, 64, 65, width - 1) if 0 <= i < width for bit in (1 << i, full ^ 1 << i)}
+    masks |= {rng.getrandbits(width) for _ in range(20)} if width else set()
+    stray = {m | 1 << width for m in masks} | {m | 1 << 8 * nbytes + 3 for m in masks}
+    negative = {~m for m in masks} | {-m for m in masks} | {-1 << width, -(1 << 200)}
+    return sorted(masks | stray | negative)
+
+
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 63, 64, 65, 130])
+def test_labels_decode_by_the_byte_as_the_per_bit_loop(width):
+    """Each mask decoded on a cold memo and again on the warm one, then all
+    of them on one memo and every byte value at every byte, on both sides
+    of a context of this many objects and one of this many attributes: the
+    memo is a dict per byte of a mask, each with at most 256 byte values."""
+    rng = random.Random(width)
+    for ctx in (random_context(rng, width, 9), random_context(rng, 9, width)):
+        for side, labels in ((0, ctx.objects), (1, ctx.attributes)):
+            kernel, nbytes = (ctx, ctx.T)[side], (len(labels) + 7) // 8
+            masks = byte_masks(rng, len(labels))
+            for mask in masks:
+                vars(kernel).pop("_byte_labels", None)
+                want = oracle_labels(ctx, mask, side)
+                assert kernel.object_labels(mask) == want and kernel.object_labels(mask) == want
+            vars(kernel).pop("_byte_labels")
+            every_byte = [b << 8 * k for k in range(nbytes) for b in range(256)]
+            for mask in [*masks, *every_byte, *masks]:
+                assert kernel.object_labels(mask) == oracle_labels(ctx, mask, side)
+            memo = kernel._byte_labels
+            assert len(memo) == nbytes and all(len(position) <= 256 for position in memo)
+
+
+def oracle_lectic(pairs, n):
+    """The earlier sort of the walk's (extent, intent) pairs: by each
+    extent's n bits as little-endian bytes, each byte bit-reversed."""
+    reversed_bits = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+    nbytes = (n + 7) // 8
+    return sorted(pairs, key=lambda c: c[0].to_bytes(nbytes, "little").translate(reversed_bits))
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
+def test_lectic_argsort_matches_the_bit_reversed_byte_key(n):
+    """Tall contexts (5 attributes, walked on ``ctx.T`` past 5 objects) and
+    wide ones (n + 4 attributes, walked on ``ctx``), extents of up to three
+    machine words."""
+    rng = random.Random(n)
+    for m, density in ((5, 0.5), (n + 4, 0.1)):
+        ctx = random_context(rng, n, m, density)
+        extents, intents = galois._lectic_closed_extents(ctx)
+        pairs = list(zip(extents, intents))
+        assert pairs == oracle_lectic(rng.sample(pairs, len(pairs)), n)
+        assert extents == enumerate_concepts(ctx).extent_masks and len(set(extents)) == len(extents)
 
 
 @pytest.mark.parametrize(
