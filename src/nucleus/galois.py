@@ -25,9 +25,13 @@ neighbours (Lindig, "Fast Concept Analysis", 2000), found in one array
 pass over the masks packed into 64-bit words: concept j covers concept
 i iff every object of extent j outside extent i leads from i to j.
 Meets intersect extents, joins intersect intents; a concept galois built
-keeps its masks, which its own context reads back unchecked.  A
-context's CSV form is core's labelled table with 0/1 cells, read in
-whole columns.
+keeps its masks, which its own context reads back unchecked.  A context
+keeps weakly, by extent mask, each concept a meet or join of it handed
+out: while a caller holds one, a meet or join reaching that extent
+returns it and ``close_extent`` its extent, with no label decoded.  The
+map holds only what callers hold, and a concept refers to its context
+but not back, so it needs no bound.  A context's CSV form is core's
+labelled table with 0/1 cells, read in whole columns.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 from typing import Iterable, Sequence
+from weakref import WeakValueDictionary
 
 import numpy as np
 
@@ -183,6 +188,12 @@ class Context:
         return i
 
     @cached_property
+    def _handed(self) -> WeakValueDictionary[int, Concept]:
+        # extent mask to the concept a meet or join of this context handed
+        # out, for as long as a caller holds it
+        return WeakValueDictionary()
+
+    @cached_property
     def _byte_labels(self) -> tuple[_ByteLabels, ...]:
         # per byte of a mask, its objects' labels and those of each value met
         return tuple(_ByteLabels(self.objects[k:k + 8]) for k in range(0, len(self.objects), 8))
@@ -266,8 +277,11 @@ def polar_down(ctx: Context, attributes: Iterable[str]) -> tuple[str, ...]:
 
 
 def close_extent(ctx: Context, objects: Iterable[str]) -> tuple[str, ...]:
-    """Smallest extent containing the subset: polar_down of polar_up."""
-    return ctx.object_labels(ctx.close_extent_mask(ctx.object_mask(objects)))
+    """Smallest extent containing the subset: polar_down of polar_up, the
+    labels of a concept still handed out if one has that extent."""
+    extent = ctx.close_extent_mask(ctx.object_mask(objects))
+    concept = ctx._handed.get(extent)
+    return ctx.object_labels(extent) if concept is None else concept.extent
 
 
 def is_concept(ctx: Context, concept: Concept) -> bool:
@@ -426,7 +440,9 @@ class ConceptLattice:
         return len(self.extent_masks)
 
     def index_of(self, concept: Concept) -> int:
-        return self.concepts.index(concept)
+        """The concept's position, found by its extent mask; a pair that is
+        not a concept of the context raises NotAConceptError."""
+        return self.extent_masks.index(_masks_of(self.context, concept)[0])
 
     def leq(self, i: int, j: int) -> bool:
         """Concept i <= concept j: extent i lies inside extent j."""
@@ -499,16 +515,25 @@ def _masks_of(ctx: Context, concept: Concept) -> tuple[int, int]:
 
 def lattice_meet(ctx: Context, c1: Concept, c2: Concept) -> Concept:
     """Greatest common subconcept: intersect extents (already closed); the
-    intent is the polar of the intersection."""
+    intent is the polar of the intersection, taken only when no concept
+    with that extent is still handed out."""
     extent = _masks_of(ctx, c1)[0] & _masks_of(ctx, c2)[0]
-    return _concept(ctx, extent, ctx.polar_up_mask(extent))
+    concept = ctx._handed.get(extent)
+    if concept is None:
+        concept = ctx._handed[extent] = _concept(ctx, extent, ctx.polar_up_mask(extent))
+    return concept
 
 
 def lattice_join(ctx: Context, c1: Concept, c2: Concept) -> Concept:
     """Least common superconcept: intersect intents (already closed); the
-    extent is the polar of the intersection."""
+    extent is the polar of the intersection, and the concept still handed
+    out with that extent is returned if there is one."""
     intent = _masks_of(ctx, c1)[1] & _masks_of(ctx, c2)[1]
-    return _concept(ctx, ctx.polar_down_mask(intent), intent)
+    extent = ctx.polar_down_mask(intent)
+    concept = ctx._handed.get(extent)
+    if concept is None:
+        concept = ctx._handed[extent] = _concept(ctx, extent, intent)
+    return concept
 
 
 def _bits(masks: Sequence[int], width: int) -> np.ndarray:

@@ -14,7 +14,10 @@ concept.  The walk, by row intersections, must take no polar, and the
 lattice builds its ``Concept`` objects only when they are read.  Concepts that keep the
 masks they were enumerated with must give the meets, joins and
 ``is_concept`` answers of label-only copies, and a concept of another
-context, or a copy, is checked by its labels.  The set-bit polar and the
+context, or a copy, is checked by its labels.  A concept a meet or join
+handed out is handed out again while it is held, and leaves the
+context's map when it is let go; with the map warm, meets, joins and
+closures still match the per-bit oracles.  The set-bit polar and the
 byte-memo label kernels are checked against the per-bit loops they
 replaced, at the byte and word boundaries, and the lectic argsort against
 the sort by a Python key per concept it replaced.  Every table
@@ -26,8 +29,10 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import gc
 import pickle
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +45,7 @@ from nucleus.galois import (
     Concept,
     Context,
     NotAConceptError,
+    close_extent,
     enumerate_concepts,
     export_dot,
     is_concept,
@@ -207,7 +213,7 @@ def test_lattice_matches_dense_oracles():
 
 
 def walk_contexts():
-    """312 contexts: without objects and/or attributes, tall and wide ones
+    """310 contexts: without objects and/or attributes, tall and wide ones
     of up to 300 labels a side (masks of several machine words, walked on
     either side), densities 0.05-0.95 with every fourth context's rows
     drawn with repeats, then ``wide_context``."""
@@ -343,6 +349,155 @@ def test_copies_and_pickles_of_a_concept_hold_the_labels_alone():
             assert copied == c and hash(copied) == hash(c) and copied._found is None
             assert (repr(copied), str(copied)) == (repr(c), str(c)) and is_concept(ctx, copied)
     assert repr(Concept(["a"], ["x", "y"])) == "Concept(extent=('a',), intent=('x', 'y'))"
+
+
+def oracle_meet(ctx, e1, e2):
+    extent = e1 & e2
+    return oracle_labels(ctx, extent, 0), oracle_labels(ctx, oracle_polar(ctx, extent, 0), 1)
+
+
+def oracle_join(ctx, i1, i2):
+    intent = i1 & i2
+    return oracle_labels(ctx, oracle_polar(ctx, intent, 1), 0), oracle_labels(ctx, intent, 1)
+
+
+def test_a_concept_still_held_is_handed_out_again(monkeypatch):
+    """While the first result of a meet or join is held, the same meet or
+    join, in either order or with label-only copies of its operands, a meet
+    of the result with itself and ``close_extent`` of its extent hand back
+    that very object (the extent tuple, for the closure), and a repeated
+    meet takes no polar.  An equal but distinct context hands out its own
+    concepts."""
+    ctx = wide_context()
+    equal = Context(ctx.objects, ctx.attributes, ctx.incidence_array)
+    kept = enumerate_concepts(ctx).concepts
+    rng = random.Random(83)
+    calls = []
+    method = Context.polar_up_mask
+    monkeypatch.setattr(Context, "polar_up_mask", lambda self, mask: calls.append(mask) or method(self, mask))
+    held = []
+    for _ in range(100):
+        a, b = rng.choice(kept), rng.choice(kept)
+        meet, join = lattice_meet(ctx, a, b), lattice_join(ctx, a, b)
+        held += meet, join
+        calls.clear()
+        assert lattice_meet(ctx, b, a) is meet and calls == []
+        assert lattice_meet(ctx, Concept(a.extent, a.intent), copy.deepcopy(b)) is meet
+        assert lattice_join(ctx, b, a) is join
+        assert lattice_join(ctx, Concept(a.extent, a.intent), copy.deepcopy(b)) is join
+        assert lattice_meet(ctx, meet, meet) is meet and lattice_meet(ctx, join, join) is join
+        assert close_extent(ctx, meet.extent) is meet.extent and close_extent(ctx, join.extent) is join.extent
+        for op, mine in ((lattice_meet, meet), (lattice_join, join)):
+            theirs = op(equal, a, b)
+            assert theirs == mine and theirs is not mine and theirs._found[0] is equal
+            assert op(equal, a, b) is theirs
+    assert all(c._found[0] is ctx for c in held)
+
+
+def test_handed_concepts_go_with_their_last_reference():
+    """The map holds a concept only while a caller does: after ``del`` and a
+    collection it is empty."""
+    ctx = wide_context()
+    kept = enumerate_concepts(ctx).concepts
+    rng = random.Random(89)
+    held = [op(ctx, rng.choice(kept), rng.choice(kept)) for _ in range(200) for op in (lattice_meet, lattice_join)]
+    assert len(ctx._handed) == len({c.extent for c in held}) > 1
+    del held
+    gc.collect()
+    assert len(ctx._handed) == 0
+
+
+def test_ten_thousand_dropped_meets_leave_the_map_empty():
+    """10,000 meets of random pairs of the wide context's concepts, each
+    result dropped at once, leave nothing in the map, and the loop's
+    traced peak stays under 64 KB (about 11 KB measured): a map holding
+    its 203 distinct meets would peak near 115 KB.  The lattice's
+    ``concepts`` decoded every extent and intent first, so the label memo
+    gains nothing."""
+    ctx = wide_context()
+    kept = enumerate_concepts(ctx).concepts
+    rng = random.Random(97)
+    pairs = [(rng.choice(kept), rng.choice(kept)) for _ in range(10_000)]
+    tracemalloc.start()
+    try:
+        for a, b in pairs:
+            lattice_meet(ctx, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ctx._handed) == 0
+    assert peak < 64 * 1024, peak
+
+
+def test_copies_of_a_context_leave_the_handed_concepts_behind():
+    """A pickled, deep-copied or copied context, made while its map holds
+    concepts, holds no map of its own until it hands out a concept, which
+    is then its own."""
+    ctx = random_context(random.Random(101), 8, 7, 0.5)
+    kept = enumerate_concepts(ctx).concepts
+    held = {lattice_meet(ctx, a, b) for a in kept for b in kept}
+    assert len(ctx._handed) == len(held) > 1
+    for side in (ctx, ctx.T):
+        for copied in (pickle.loads(pickle.dumps(side)), copy.deepcopy(side), copy.copy(side)):
+            assert "_handed" not in vars(copied)
+            top = enumerate_concepts(copied).top
+            assert lattice_meet(copied, top, top)._found[0] is copied
+            if side is ctx:
+                again = lattice_meet(copied, kept[-1], kept[-1])
+                assert again in held and again._found[0] is copied
+    assert len(ctx._handed) == len(held)
+
+
+def test_meets_joins_and_closures_with_the_map_warm_match_the_oracles():
+    """On the walk's contexts, for 12 random pairs of enumerated concepts
+    each, with every result held: the meet and the join, again in the other
+    order, then the meet of the join with one operand and the join of the
+    meet with the other, operands the map handed out, are the concepts the
+    per-bit oracles give.  ``close_extent`` of each held extent is that
+    extent, and of random subsets the oracle's closure."""
+    rng = random.Random(103)
+    for ctx in walk_contexts():
+        lat = enumerate_concepts(ctx)
+        masks = list(zip(lat.extent_masks, lat.intent_masks))
+        held = []
+        for _ in range(12):
+            i, j = rng.randrange(len(lat)), rng.randrange(len(lat))
+            (ea, ia), (eb, ib) = masks[i], masks[j]
+            a, b = lat.concepts[i], lat.concepts[j]
+            want_meet, want_join = oracle_meet(ctx, ea, eb), oracle_join(ctx, ia, ib)
+            for x, y in ((a, b), (b, a)):
+                held += lattice_meet(ctx, x, y), lattice_join(ctx, x, y)
+                assert (held[-2].extent, held[-2].intent) == want_meet
+                assert (held[-1].extent, held[-1].intent) == want_join
+            meet, join = held[-2], held[-1]
+            join_extent = oracle_polar(ctx, ia & ib, 1)
+            held += lattice_meet(ctx, join, a), lattice_join(ctx, meet, b)
+            assert (held[-2].extent, held[-2].intent) == oracle_meet(ctx, join_extent, ea)
+            assert (held[-1].extent, held[-1].intent) == oracle_join(ctx, oracle_polar(ctx, ea & eb, 0), ib)
+        for c in held:
+            assert close_extent(ctx, c.extent) == c.extent
+        for _ in range(12):
+            subset = rng.getrandbits(len(ctx.objects)) if ctx.objects else 0
+            closed = oracle_polar(ctx, oracle_polar(ctx, subset, 0), 1)
+            assert close_extent(ctx, oracle_labels(ctx, subset, 0)) == oracle_labels(ctx, closed, 0)
+
+
+def test_index_of_reads_the_extent_mask():
+    """On a 24x14 context of 182 concepts, ``index_of`` is ``concepts.index``
+    for every enumerated concept, a label-built copy of it, the same
+    concept enumerated from an equal context and the one a meet hands
+    out; a pair that is not a concept, or names an unknown label, is a
+    ValueError."""
+    ctx = random_context(random.Random(1), 24, 14, 0.35)
+    lat = enumerate_concepts(ctx)
+    assert 150 <= len(lat) <= 400
+    equal = enumerate_concepts(Context(ctx.objects, ctx.attributes, ctx.incidence_array)).concepts
+    for k, c in enumerate(lat.concepts):
+        for same in (c, Concept(c.extent, c.intent), equal[k], lattice_meet(ctx, c, c)):
+            assert lat.index_of(same) == lat.concepts.index(same) == k
+    for stranger in (Concept(lat.top.extent, lat.bottom.intent), Concept(("zz",), ctx.attributes)):
+        with pytest.raises(ValueError):
+            lat.index_of(stranger)
 
 
 def test_transpose_swaps_the_labels_and_the_incidence():
