@@ -6,13 +6,11 @@ the concepts.  A context holds the relation as one read-only bool array
 in core's TRUTH encoding, which ``to_profunctor`` wraps with its labels.
 Subsets are bitmask integers.  Every kernel reads the objects (label
 positions, each object's attributes packed once into a mask, the polar
-walking a mask's set bits, and a mask's labels read a non-zero byte at a
-time from a memo the context fills as it reads: per byte position, the
-labels of each byte value met there, so at most 256 entries); the
-attributes are the objects of ``T``, the transposed context, whose ``T``
-is the context again and whose concepts are the same pairs with the
-sides swapped and the order reversed.  A copy or a pickle of a context
-is built anew from its labels and array, with no cache.
+walking a mask's set bits, and a mask's labels read off its set bits);
+the attributes are the objects of ``T``, the transposed context, whose
+``T`` is the context again and whose concepts are the same pairs with
+the sides swapped and the order reversed.  A copy or a pickle of a
+context is built anew from its labels and array, with no cache.
 The lattice is walked on the smaller side, intersecting every intent
 found so far with one row at a time, so each intent arrives with its
 extent and no polar is taken; a walk past MAX_CONCEPTS is refused.  One
@@ -38,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
 from typing import Iterable, Sequence
 from weakref import WeakValueDictionary
 
@@ -86,25 +83,6 @@ class NotAConceptError(ValueError):
 
 class TooManyConceptsError(ValueError):
     """A context with more than MAX_CONCEPTS concepts."""
-
-
-class _ByteLabels(dict):
-    """The labels of up to eight consecutive objects, and for each byte value
-    met so far the tuple of those whose bits it sets: at most 256 entries."""
-
-    __slots__ = ("names",)
-
-    def __init__(self, names: tuple[str, ...]) -> None:
-        super().__init__()
-        self.names = names
-
-    def __missing__(self, byte: int) -> tuple[str, ...]:
-        labels = self[byte] = tuple(compress(self.names, _BYTE_BITS[byte]))
-        return labels
-
-
-# each byte value as its eight bits, lowest first
-_BYTE_BITS = tuple(tuple(b >> k & 1 for k in range(8)) for b in range(256))
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,11 +171,6 @@ class Context:
         # out, for as long as a caller holds it
         return WeakValueDictionary()
 
-    @cached_property
-    def _byte_labels(self) -> tuple[_ByteLabels, ...]:
-        # per byte of a mask, its objects' labels and those of each value met
-        return tuple(_ByteLabels(self.objects[k:k + 8]) for k in range(0, len(self.objects), 8))
-
     def object_mask(self, labels: Iterable[str]) -> int:
         mask = 0
         for label in labels:
@@ -205,17 +178,14 @@ class Context:
         return mask
 
     def object_labels(self, mask: int) -> tuple[str, ...]:
-        # non-zero bytes only, lowest first; bits past the last object are
-        # ignored: past the last byte they are cut off here, inside it the
-        # byte's labels run out first
-        memo = self._byte_labels
-        try:
-            data = mask.to_bytes(len(memo), "little")
-        except OverflowError:  # negative, or bits past the last byte
-            data = (mask & (1 << 8 * len(memo)) - 1).to_bytes(len(memo), "little")
+        # set bits only, lowest first; bits past the last object are ignored
+        labels = self.objects
+        mask &= (1 << len(labels)) - 1
         out = []
-        for labels, byte in compress(zip(memo, data), data):
-            out += labels[byte]
+        while mask:
+            low = mask & -mask
+            out.append(labels[low.bit_length() - 1])
+            mask ^= low
         return tuple(out)
 
     def polar_up_mask(self, object_mask: int) -> int:

@@ -156,7 +156,8 @@ class Grid:
         the range up to float noise, and the last point, lo + count*step, can
         pass hi by rounding: (0, 0.3, 0.1) ends at 0.30000000000000004.  A
         range of more than MAX_GRID_POINTS points is refused before it is
-        built."""
+        built.  Where hi - lo overflows, the count is taken on halves, and
+        where a point overflows, it is 2*(lo/2 + i*(step/2))."""
         if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
             raise ValueError("range bounds and step must be finite")
         if hi < lo:
@@ -165,11 +166,18 @@ class Grid:
             return cls((float(lo),))
         if step <= 0:
             raise ValueError("step must be positive")
-        q = (hi - lo) / step
-        if not q < MAX_GRID_POINTS:
-            raise ValueError(f"range has about {q:.3g} points, more than {MAX_GRID_POINTS}")
-        count = round(q) if abs(q - round(q)) <= 1e-6 else math.floor(q)
-        return cls(lo + np.arange(count + 1) * step)
+        with np.errstate(over="ignore"):
+            span = hi - lo
+            q = span / step if math.isfinite(span) else (hi / 2 - lo / 2) / step * 2
+            if not q < MAX_GRID_POINTS:
+                raise ValueError(f"range has about {q:.3g} points, more than {MAX_GRID_POINTS}")
+            count = round(q) if abs(q - round(q)) <= 1e-6 else math.floor(q)
+            steps = np.arange(count + 1)
+            points = lo + steps * step
+            if not np.isfinite(points[-1]):  # the points rise, so the last overflows first
+                wide = ~np.isfinite(points)
+                points[wide] = 2 * (lo / 2 + steps[wide] * (step / 2))
+        return cls(points)
 
     def __len__(self) -> int:
         return len(self.as_array)

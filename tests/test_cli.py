@@ -354,6 +354,17 @@ def test_dual_auto_is_the_union_of_the_quotients():
     assert _parse_dual_spec("auto", [("a.csv", f1)]) == default_dual_grid(f1)
 
 
+def test_dual_range_whose_span_overflows_is_read(tmp_path, capsys):
+    # -1e308:1e308:1e308 spans more than the largest float but has three points
+    path = write(tmp_path, "f.csv", "x,value\n0.0,0.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["conjugate", path, "--dual=-1e308:1e308:1e308"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "x,value\n-1e+308,0.0\n0.0,0.0\n1e+308,0.0\n"
+    assert captured.err == ""
+
+
 def test_dual_range_too_large_is_refused(tmp_path, capsys):
     # 2e12 points: the count is checked before anything is built
     path = write(tmp_path, "f.csv", "x,value\n0.0,0.0\n")

@@ -528,7 +528,7 @@ def test_copies_of_a_context_are_built_anew_from_its_labels_and_array():
     for ctx in (IDENT2, big):
         lat = enumerate_concepts(ctx)
         lat.concepts, ctx.incidence, close_extent(ctx, ctx.objects[:1]), polar_down(ctx, ctx.attributes[:1])
-        assert {"_rows", "_index", "T", "incidence", "_byte_labels"} <= set(vars(ctx))
+        assert {"_rows", "_index", "T", "incidence"} <= set(vars(ctx))
         for side in (ctx, ctx.T):
             fresh = Context(side.objects, side.attributes, side.incidence_array)
             assert len(pickle.dumps(side)) == len(pickle.dumps(fresh))

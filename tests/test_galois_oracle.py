@@ -17,9 +17,9 @@ masks they were enumerated with must give the meets, joins and
 context, or a copy, is checked by its labels.  A concept a meet or join
 handed out is handed out again while it is held, and leaves the
 context's map when it is let go; with the map warm, meets, joins and
-closures still match the per-bit oracles.  The set-bit polar and the
-byte-memo label kernels are checked against the per-bit loops they
-replaced, at the byte and word boundaries, and the lectic argsort against
+closures still match the per-bit oracles.  The set-bit polar and label
+kernels are checked against the per-bit loops they replaced, at the
+byte and word boundaries, and the lectic argsort against
 the sort by a Python key per concept it replaced.  Every table
 writer either refuses a label or writes text its reader reads back as it
 was.
@@ -412,8 +412,7 @@ def test_ten_thousand_dropped_meets_leave_the_map_empty():
     result dropped at once, leave nothing in the map, and the loop's
     traced peak stays under 64 KB (about 11 KB measured): a map holding
     its 203 distinct meets would peak near 115 KB.  The lattice's
-    ``concepts`` decoded every extent and intent first, so the label memo
-    gains nothing."""
+    ``concepts`` are built before tracing starts."""
     ctx = wide_context()
     kept = enumerate_concepts(ctx).concepts
     rng = random.Random(97)
@@ -654,25 +653,21 @@ def byte_masks(rng, width):
 
 @pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 63, 64, 65, 130])
 def test_labels_decode_by_the_byte_as_the_per_bit_loop(width):
-    """Each mask decoded on a cold memo and again on the warm one, then all
-    of them on one memo and every byte value at every byte, on both sides
-    of a context of this many objects and one of this many attributes: the
-    memo is a dict per byte of a mask, each with at most 256 byte values."""
+    """Each mask decoded twice, then all of them again beside every byte
+    value at every byte, on both sides of a context of this many objects
+    and one of this many attributes: the set-bit walk reads each as the
+    per-bit loop does."""
     rng = random.Random(width)
     for ctx in (random_context(rng, width, 9), random_context(rng, 9, width)):
         for side, labels in ((0, ctx.objects), (1, ctx.attributes)):
             kernel, nbytes = (ctx, ctx.T)[side], (len(labels) + 7) // 8
             masks = byte_masks(rng, len(labels))
             for mask in masks:
-                vars(kernel).pop("_byte_labels", None)
                 want = oracle_labels(ctx, mask, side)
                 assert kernel.object_labels(mask) == want and kernel.object_labels(mask) == want
-            vars(kernel).pop("_byte_labels")
             every_byte = [b << 8 * k for k in range(nbytes) for b in range(256)]
             for mask in [*masks, *every_byte, *masks]:
                 assert kernel.object_labels(mask) == oracle_labels(ctx, mask, side)
-            memo = kernel._byte_labels
-            assert len(memo) == nbytes and all(len(position) <= 256 for position in memo)
 
 
 def oracle_lectic(pairs, n):

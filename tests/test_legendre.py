@@ -566,6 +566,19 @@ def test_grid_from_an_array():
             Grid.from_range(lo, hi, step)
 
 
+def test_grid_from_a_range_whose_span_overflows():
+    # hi - lo and the last i*step overflow, yet each range has a few
+    # points; the count is taken on halves, and so are the points that overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Grid.from_range(-1e308, 1e308, 1e308).points == (-1e308, 0.0, 1e308)
+        assert Grid.from_range(-1.7e308, 1.7e308, 1.7e308).points == (-1.7e308, 0.0, 1.7e308)
+        big = np.float64(1e308)
+        assert Grid.from_range(-big, big, big / 2).points == (-1e308, -5e307, 0.0, 5e307, 1e308)
+    with pytest.raises(ValueError, match="more than"):
+        Grid.from_range(-1e308, 1e308, 1.0)
+
+
 def test_default_dual_grid_beyond_the_float_range():
     f = primal([0.0, 1e-10, 1.0], [-1e308, 1e308, 0.0])
     with pytest.raises(ValueError, match="float range"):
